@@ -68,8 +68,10 @@ void PipelineEngine::repartition(const Partition& next) {
   // WeightVersions borrows partition_ by reference, so assigning in place
   // re-points every staleness lookup at the new unit -> stage map; the
   // version ring and live weights are untouched (recompute segment ends
-  // re-read module_stage per step, so they follow too).
+  // re-read module_stage per step, so they follow too). The T2 backward
+  // view's per-unit gap follows the new map through refresh().
   partition_ = next;
+  store_.refresh();
 }
 
 void PipelineEngine::assemble_forward_params(int micro, std::vector<float>& out) const {

@@ -11,11 +11,13 @@
 // weight versions are *full* flat vectors (not per-stage slabs), optimizer
 // state is flat and offset-keyed, and the 1F1B Schedule depends only on
 // (P, N) — so moving a unit between stages changes nothing but the
-// unit -> stage map that assemble_forward_units reads the staleness from.
-// The engines drain to a quiescent point between minibatches anyway
-// (workers park on the generation barrier), so an engine's repartition()
-// is: swap the Partition, rebuild the per-stage module/unit ranges, done.
-// No weight bytes, history slabs, or optimizer moments move; tests assert
+// unit -> stage map the weight views read the staleness from (and the
+// per-stage T2 gap of the materialized backward view, which
+// WeightVersions::refresh re-derives). The engines drain to a quiescent
+// point between minibatches anyway (workers park on the generation
+// barrier), so an engine's repartition() is: swap the Partition, refresh
+// the store, rebuild the per-stage module/unit ranges, done. No weight
+// bytes, history slabs, or optimizer moments move; tests assert
 // the migrated state is bit-identical to a fresh engine built with the
 // new split.
 //

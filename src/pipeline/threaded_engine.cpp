@@ -87,6 +87,7 @@ void ThreadedEngine::repartition(const Partition& next) {
   // staleness map. Stage count is unchanged, so mailbox capacities and
   // the stats_ slots stay valid.
   partition_ = next;
+  store_.refresh();
   ranges_ = stage_module_ranges(partition_);
 }
 
@@ -108,10 +109,11 @@ void ThreadedEngine::record_failure(const char* what) {
 }
 
 void ThreadedEngine::worker_loop(int stage) {
-  // Reused full-size parameter buffers; only this stage's slices are
-  // written and read.
-  std::vector<float> w_fwd(store_.live().size());
-  std::vector<float> w_bkwd(store_.live().size());
+  // Scratch for the weight views' fallbacks (mixed-version stages,
+  // per-microbatch T2); sized by the store on first use, only this
+  // stage's slices are written and read.
+  std::vector<float> w_fwd;
+  std::vector<float> w_bkwd;
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -142,10 +144,10 @@ void ThreadedEngine::backward_step(int stage, int micro, nn::Flow dflow,
     try {
       obs::Span span("bwd", "pipeline", stage, micro, store_.step());
       auto t0 = Clock::now();
-      store_.assemble_backward_units(r.unit_first, r.unit_last, micro, w_bkwd);
-      din = model_.backward_range(r.module_first, r.module_last, std::move(dflow),
-                                  w_bkwd, caches_[static_cast<std::size_t>(micro)],
-                                  grads_);
+      din = model_.backward_range(
+          r.module_first, r.module_last, std::move(dflow),
+          store_.backward_view(r.unit_first, r.unit_last, micro, w_bkwd),
+          caches_[static_cast<std::size_t>(micro)], grads_);
       stats.busy_ns += ns_between(t0, Clock::now());
     } catch (const std::exception& e) {
       record_failure(e.what());
@@ -187,10 +189,10 @@ void ThreadedEngine::run_minibatch(int stage, std::vector<float>& w_fwd,
         try {
           obs::Span span("fwd", "pipeline", stage, item.micro, store_.step());
           auto t0 = Clock::now();
-          store_.assemble_forward_units(r.unit_first, r.unit_last, item.micro, w_fwd);
-          out = model_.forward_range(r.module_first, r.module_last,
-                                     std::move(item.flow), w_fwd,
-                                     caches_[static_cast<std::size_t>(item.micro)]);
+          out = model_.forward_range(
+              r.module_first, r.module_last, std::move(item.flow),
+              store_.forward_view(r.unit_first, r.unit_last, item.micro, w_fwd),
+              caches_[static_cast<std::size_t>(item.micro)]);
           stats.busy_ns += ns_between(t0, Clock::now());
         } catch (const std::exception& e) {
           record_failure(e.what());

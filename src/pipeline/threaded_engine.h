@@ -28,11 +28,12 @@ namespace pipemare::pipeline {
 /// workers; the first step toward "as fast as the hardware allows").
 ///
 /// Statistically this engine is *identical* to the sequential
-/// PipelineEngine: both assemble every (stage, microbatch) forward and
-/// backward parameter view through the same WeightVersions store, and
-/// within a minibatch the store is frozen (updates commit between
-/// minibatches), so the weight bytes each pass sees do not depend on
-/// thread timing. Combined with three ordering facts —
+/// PipelineEngine: both read every (stage, microbatch) forward and
+/// backward parameter view through the same WeightVersions store (this
+/// engine through its zero-copy views, the sequential one through the
+/// copying assembly calls), and within a minibatch the store is frozen
+/// (updates commit between minibatches), so the weight bytes each pass
+/// sees do not depend on thread timing. Combined with three ordering facts —
 ///   1. each stage worker processes its microbatches in FIFO order,
 ///   2. stages own disjoint module (and hence gradient and cache) ranges,
 ///   3. Dropout masks are counter-based — pure functions of (module seed,

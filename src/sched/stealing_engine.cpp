@@ -103,7 +103,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   }
   worker_stats_.assign(static_cast<std::size_t>(w), StageStats{});
   scratch_.resize(static_cast<std::size_t>(w));
-  for (auto& buf : scratch_) buf.resize(store_.live().size());
+  grads_finite_.assign(static_cast<std::size_t>(p), 1);
 
   // Spawn last: drain() touches every field above.
   pool_ = std::make_unique<WorkerPool>(w, [this](int worker) { drain(worker); });
@@ -118,6 +118,7 @@ void StealingEngine::repartition(const pipeline::Partition& next) {
   // ranges / staleness map / victim order. Stage count is unchanged, so
   // the per-stage queues, counters and home assignments stay valid.
   partition_ = next;
+  store_.refresh();
   ranges_ = pipeline::stage_module_ranges(partition_);
   // Reseed the victim ranking from the new split's predicted stage costs
   // (the probe was dropped after construction; the analytic fallback is
@@ -132,6 +133,15 @@ void StealingEngine::record_failure(const char* what) {
     util::MutexLock lock(sched_m_);
     mb_error_ = what;
   }
+}
+
+std::span<float> StealingEngine::stage_gradients(const StageRange& r) {
+  if (r.unit_first == r.unit_last) return {};
+  const nn::WeightUnit& first = partition_.units[static_cast<std::size_t>(r.unit_first)];
+  const nn::WeightUnit& last = partition_.units[static_cast<std::size_t>(r.unit_last - 1)];
+  return std::span<float>(grads_).subspan(
+      static_cast<std::size_t>(first.offset),
+      static_cast<std::size_t>(last.offset + last.size - first.offset));
 }
 
 void StealingEngine::enqueue(const Task& task) {
@@ -282,8 +292,8 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
   if (!mb_failed_.load(std::memory_order_relaxed)) {
     try {
       auto t0 = Clock::now();
-      store_.assemble_forward_units(r.unit_first, r.unit_last, m, w);
-      out = model_.forward_range(r.module_first, r.module_last, std::move(in), w,
+      out = model_.forward_range(r.module_first, r.module_last, std::move(in),
+                                 store_.forward_view(r.unit_first, r.unit_last, m, w),
                                  caches_[static_cast<std::size_t>(m)]);
       busy += ns_between(t0, Clock::now());
     } catch (const std::exception& e) {
@@ -331,9 +341,24 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
   if (!mb_failed_.load(std::memory_order_relaxed)) {
     try {
       auto t0 = Clock::now();
-      store_.assemble_backward_units(r.unit_first, r.unit_last, m, w);
-      din = model_.backward_range(r.module_first, r.module_last, std::move(dflow), w,
+      // The stage's gradient sweeps run here, not on the trainer thread:
+      // the backward chain orders Backward(s, 0) before every other
+      // accumulation into the slice and Backward(s, N-1) after it.
+      std::span<float> g = stage_gradients(r);
+      if (m == 0) std::fill(g.begin(), g.end(), 0.0F);
+      din = model_.backward_range(r.module_first, r.module_last, std::move(dflow),
+                                  store_.backward_view(r.unit_first, r.unit_last, m, w),
                                   caches_[static_cast<std::size_t>(m)], grads_);
+      if (m == n - 1) {
+        // Same normalization and finiteness sweep as the sequential engine.
+        auto inv_n = 1.0F / static_cast<float>(n);
+        bool finite = true;
+        for (float& x : g) {
+          x *= inv_n;
+          if (!std::isfinite(x)) finite = false;
+        }
+        grads_finite_[static_cast<std::size_t>(s)] = finite ? 1 : 0;
+      }
       busy += ns_between(t0, Clock::now());
     } catch (const std::exception& e) {
       record_failure(e.what());
@@ -373,7 +398,6 @@ StealingEngine::StepResult StealingEngine::forward_backward(
       static_cast<int>(micro_targets.size()) != n) {
     throw std::invalid_argument("forward_backward: expected N microbatches");
   }
-  std::fill(grads_.begin(), grads_.end(), 0.0F);
   std::fill(micro_loss_.begin(), micro_loss_.end(), 0.0);
   std::fill(micro_correct_.begin(), micro_correct_.end(), 0.0);
   std::fill(micro_count_.begin(), micro_count_.end(), 0.0);
@@ -443,11 +467,9 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     result.correct += micro_correct_[static_cast<std::size_t>(m)];
     result.count += micro_count_[static_cast<std::size_t>(m)];
   }
-  // Same normalization and finiteness sweep as the sequential engine.
-  auto inv_n = 1.0F / static_cast<float>(n);
-  for (float& g : grads_) {
-    g *= inv_n;
-    if (!std::isfinite(g)) result.finite = false;
+  // The workers already normalized each stage's gradient slice.
+  for (std::uint8_t finite : grads_finite_) {
+    if (finite == 0) result.finite = false;
   }
   return result;
 }

@@ -57,10 +57,10 @@ struct StealRecord {
 ///
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
-/// and backward parameter view is assembled through the same shared
+/// and backward parameter view is read through the same shared
 /// WeightVersions snapshot protocol the sequential and threaded engines
-/// use, so the delay distribution (Table 1) does not depend on which
-/// worker runs the task.
+/// use (in place, through its zero-copy views), so the delay distribution
+/// (Table 1) does not depend on which worker runs the task.
 ///
 /// Stronger still, the engine's numerics are *scheduling-independent by
 /// construction*, so training curves are bitwise-identical to the
@@ -76,7 +76,9 @@ struct StealRecord {
 ///     readiness chain (Backward(s, m) becomes ready only once
 ///     Backward(s+1, m) produced its gradient AND Backward(s, m-1)
 ///     completed), so gradient accumulation into the stage's disjoint
-///     slice of the gradient buffer replays the sequential order;
+///     slice of the gradient buffer replays the sequential order (the
+///     chain's head zeroes the slice and its tail normalizes it, so the
+///     trainer thread never sweeps the whole buffer);
 ///  4. per-microbatch losses land in slots merged in microbatch order
 ///     after the minibatch barrier, replaying the sequential sum.
 /// The StealMode therefore only changes *which worker* runs a task and
@@ -191,6 +193,10 @@ class StealingEngine {
   /// Run one task's compute; returns the busy nanoseconds spent.
   std::uint64_t run_forward(int worker, const Task& task, std::vector<float>& w);
   std::uint64_t run_backward(int worker, const Task& task, std::vector<float>& w);
+  /// The slice of grads_ a stage's backward accumulates into (the weight
+  /// units its modules own, contiguous in the flat layout); empty for a
+  /// stage that owns no weight units.
+  std::span<float> stage_gradients(const StageRange& r);
   void enqueue(const Task& task);
   /// Marks Backward(stage, micro)'s gradient input as available and
   /// enqueues it if its predecessor in the stage's backward chain is done.
@@ -226,6 +232,9 @@ class StealingEngine {
   std::vector<double> micro_loss_;   ///< per micro: loss slots (ordered merge)
   std::vector<double> micro_correct_;
   std::vector<double> micro_count_;
+  /// per stage: 0 if Backward(s, N-1)'s normalization sweep found a
+  /// non-finite gradient (single writer, read after the minibatch barrier)
+  std::vector<std::uint8_t> grads_finite_;
   std::atomic<bool> mb_failed_{false};
   std::string mb_error_ GUARDED_BY(sched_m_);  ///< first worker exception
 
@@ -243,7 +252,12 @@ class StealingEngine {
 
   std::vector<StealRecord> steal_log_ GUARDED_BY(sched_m_);
   std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;
-  std::vector<std::vector<float>> scratch_;  ///< per worker: weight buffer
+  /// Per worker: the weight views' fallback buffer. Most tasks read
+  /// their weights in place (a ring slot, the live weights or the T2
+  /// backward weights); only a mixed-version stage (split_bias) or
+  /// per-microbatch T2 assembles here, and the store sizes the buffer on
+  /// that first use.
+  std::vector<std::vector<float>> scratch_;
 
   std::unique_ptr<WorkerPool> pool_;  ///< last member: joins before teardown
 };

@@ -1,5 +1,7 @@
 #include "src/util/cli.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace pipemare::util {
@@ -26,14 +28,49 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// A numeric flag whose value does not parse whole (empty, non-numeric,
+/// trailing garbage, out of range) is a usage error: name the flag and
+/// exit with status 2, as a command-line tool should, instead of letting
+/// std::invalid_argument escape main. std::_Exit, not std::exit: the
+/// latter is not thread-safe, and nothing needs unwinding this early.
+[[noreturn]] void bad_numeric_flag(const std::string& key, const std::string& value,
+                                   const char* expected) {
+  std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(), expected,
+               value.c_str());
+  std::fflush(stdout);
+  std::_Exit(2);
+}
+
+}  // namespace
+
 int Cli::get_int(const std::string& key, int fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  if (it == values_.end()) return fallback;
+  std::size_t used = 0;
+  int v = 0;
+  try {
+    v = std::stoi(it->second, &used);
+  } catch (const std::logic_error&) {  // invalid_argument or out_of_range
+    bad_numeric_flag(key, it->second, "an integer");
+  }
+  if (used != it->second.size()) bad_numeric_flag(key, it->second, "an integer");
+  return v;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(it->second, &used);
+  } catch (const std::logic_error&) {  // invalid_argument or out_of_range
+    bad_numeric_flag(key, it->second, "a number");
+  }
+  if (used != it->second.size()) bad_numeric_flag(key, it->second, "a number");
+  return v;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

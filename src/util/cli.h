@@ -18,6 +18,9 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric flags: a present value must parse whole (`--epochs=`,
+  /// `--lr=fast` or `--epochs=3x` print the flag name to stderr and exit
+  /// with status 2).
   int get_int(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

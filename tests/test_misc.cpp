@@ -35,6 +35,31 @@ TEST(Cli, BoolSpellings) {
   EXPECT_FALSE(cli.get_bool("d", true));
 }
 
+TEST(Cli, NumericFlagsParseWholeValues) {
+  const char* argv[] = {"prog", "--epochs=12", "--lr=1e-3", "--neg=-4"};
+  util::Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("epochs", 0), 12);
+  EXPECT_DOUBLE_EQ(cli.get_double("lr", 0.0), 1e-3);
+  EXPECT_EQ(cli.get_int("neg", 0), -4);
+  EXPECT_DOUBLE_EQ(cli.get_double("epochs", 0.0), 12.0);
+}
+
+TEST(CliDeathTest, MalformedNumericFlagNamesTheFlagAndExitsNonZero) {
+  // Empty, non-numeric, trailing garbage and out-of-range values are usage
+  // errors: a message naming the flag and exit code 2, never an uncaught
+  // std::invalid_argument abort.
+  const char* argv[] = {"prog", "--epochs=", "--lr=fast", "--workers=3x",
+                        "--seed=99999999999999999999"};
+  util::Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EXIT((void)cli.get_int("epochs", 1), ::testing::ExitedWithCode(2),
+              "--epochs expects an integer, got ''");
+  EXPECT_EXIT((void)cli.get_double("lr", 0.1), ::testing::ExitedWithCode(2),
+              "--lr expects a number, got 'fast'");
+  EXPECT_EXIT((void)cli.get_int("workers", 1), ::testing::ExitedWithCode(2),
+              "--workers expects an integer, got '3x'");
+  EXPECT_EXIT((void)cli.get_int("seed", 1), ::testing::ExitedWithCode(2), "--seed");
+}
+
 // ---------------------------------------------------------------------------
 // BLEU properties
 // ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include "src/pipeline/partition.h"
 #include "src/pipeline/repartition.h"
 #include "src/pipeline/threaded_engine.h"
+#include "src/sched/stealing_engine.h"
 #include "src/tensor/kernels/registry.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -352,52 +353,82 @@ double sgd_step(EngineT& engine, const SkewedFixture& fx) {
   return r.loss;
 }
 
-TEST(EngineMigration, MigratedEngineMatchesFreshEngineBitwise) {
-  // Engine A starts uniform and immediately migrates to the balanced
-  // split; engine B is built balanced from scratch. Under the zero-copy
-  // protocol (full-vector weight versions, offset-keyed state) the two
-  // must train bit-identically from the first step on.
+/// The view-based engines a migration must be invisible to, built from
+/// one EngineConfig: "threaded" and "threaded_steal" (forced stealing).
+std::unique_ptr<ThreadedEngine> make_threaded(const nn::Model& m, const EngineConfig& ec) {
+  return std::make_unique<ThreadedEngine>(m, ec, 1);
+}
+
+std::unique_ptr<sched::StealingEngine> make_stealing(const nn::Model& m,
+                                                     const EngineConfig& ec) {
+  sched::StealConfig sc;
+  sc.engine = ec;
+  sc.workers = 3;
+  sc.mode = sched::StealMode::Forced;
+  return std::make_unique<sched::StealingEngine>(m, sc, 1);
+}
+
+/// Engine A starts uniform and immediately migrates to the balanced
+/// split; engine B is built balanced from scratch. Under the zero-copy
+/// protocol (full-vector weight versions, offset-keyed state) the two
+/// must train bit-identically from the first step on.
+template <typename MakeEngine>
+void expect_migrated_matches_fresh(bool t2, MakeEngine make, const std::string& label) {
   SkewedFixture fx(4);
   EngineConfig uniform_cfg;
   uniform_cfg.method = Method::PipeMare;
   uniform_cfg.num_stages = 4;
   uniform_cfg.num_microbatches = 4;
+  uniform_cfg.discrepancy_correction = t2;
   EngineConfig balanced_cfg = uniform_cfg;
   balanced_cfg.partition.strategy = PartitionStrategy::Balanced;
 
-  ThreadedEngine migrated(fx.model, uniform_cfg, 1);
-  ThreadedEngine fresh(fx.model, balanced_cfg, 1);
+  auto migrated = make(fx.model, uniform_cfg);
+  auto fresh = make(fx.model, balanced_cfg);
   Partition target = make_partition(fx.model, 4, false, balanced_cfg.partition);
-  ASSERT_NE(migrated.partition().unit_stage, target.unit_stage)
+  ASSERT_NE(migrated->partition().unit_stage, target.unit_stage)
       << "balanced must differ from uniform for this model";
-  migrated.repartition(target);
-  EXPECT_EQ(migrated.partition().unit_stage, fresh.partition().unit_stage);
+  migrated->repartition(target);
+  EXPECT_EQ(migrated->partition().unit_stage, fresh->partition().unit_stage);
 
   for (int step = 0; step < 5; ++step) {
-    double lm = sgd_step(migrated, fx);
-    double lf = sgd_step(fresh, fx);
-    ASSERT_DOUBLE_EQ(lm, lf) << "step " << step;
+    double lm = sgd_step(*migrated, fx);
+    double lf = sgd_step(*fresh, fx);
+    ASSERT_DOUBLE_EQ(lm, lf) << label << " step " << step;
   }
-  auto wm = migrated.weights();
-  auto wf = fresh.weights();
+  auto wm = migrated->weights();
+  auto wf = fresh->weights();
   ASSERT_EQ(wm.size(), wf.size());
   for (std::size_t i = 0; i < wm.size(); ++i) {
-    ASSERT_EQ(wm[i], wf[i]) << "weight " << i;
+    ASSERT_EQ(wm[i], wf[i]) << label << " weight " << i;
   }
 }
 
-TEST(EngineMigration, SequentialAndThreadedAgreeAcrossMidTrainingMigration) {
-  // Both engines train uniform for three steps, migrate to balanced at the
-  // same minibatch boundary, and continue — losses, gradients and weights
-  // stay bitwise equal throughout, so the migration itself is semantically
-  // invisible (only stage placement changes).
+TEST(EngineMigration, MigratedEngineMatchesFreshEngineBitwise) {
+  for (bool t2 : {false, true}) {
+    const std::string suffix = t2 ? " +T2" : "";
+    expect_migrated_matches_fresh(t2, make_threaded, "threaded" + suffix);
+    expect_migrated_matches_fresh(t2, make_stealing, "threaded_steal" + suffix);
+  }
+}
+
+/// Both engines train uniform for three steps, migrate to balanced at the
+/// same minibatch boundary, and continue — losses, gradients and weights
+/// stay bitwise equal throughout, so the migration itself is semantically
+/// invisible (only stage placement changes). With T2 the migration moves
+/// units between stages with different mean delays, so the per-stage T2
+/// backward weights the view engines materialize must follow the new map.
+template <typename MakeEngine>
+void expect_sequential_parity_across_migration(bool t2, MakeEngine make,
+                                               const std::string& label) {
   SkewedFixture fx(4);
   EngineConfig ec;
   ec.method = Method::PipeMare;
   ec.num_stages = 4;
   ec.num_microbatches = 4;
+  ec.discrepancy_correction = t2;
   PipelineEngine seq(fx.model, ec, 1);
-  ThreadedEngine thr(fx.model, ec, 1);
+  auto thr = make(fx.model, ec);
   PartitionSpec balanced_spec;
   balanced_spec.strategy = PartitionStrategy::Balanced;
   Partition target = make_partition(fx.model, 4, false, balanced_spec);
@@ -405,20 +436,29 @@ TEST(EngineMigration, SequentialAndThreadedAgreeAcrossMidTrainingMigration) {
   for (int step = 0; step < 6; ++step) {
     if (step == 3) {
       seq.repartition(target);
-      thr.repartition(target);
+      thr->repartition(target);
     }
     double ls = sgd_step(seq, fx);
-    double lt = sgd_step(thr, fx);
-    ASSERT_DOUBLE_EQ(ls, lt) << "step " << step;
+    double lt = sgd_step(*thr, fx);
+    ASSERT_DOUBLE_EQ(ls, lt) << label << " step " << step;
     auto gs = seq.gradients();
-    auto gt = thr.gradients();
+    auto gt = thr->gradients();
     ASSERT_EQ(gs.size(), gt.size());
     for (std::size_t i = 0; i < gs.size(); ++i) {
-      ASSERT_EQ(gs[i], gt[i]) << "grad " << i << " at step " << step;
+      ASSERT_EQ(gs[i], gt[i]) << label << " grad " << i << " at step " << step;
     }
   }
   for (std::size_t i = 0; i < seq.weights().size(); ++i) {
-    ASSERT_EQ(seq.weights()[i], thr.weights()[i]) << "weight " << i;
+    ASSERT_EQ(seq.weights()[i], thr->weights()[i]) << label << " weight " << i;
+  }
+}
+
+TEST(EngineMigration, SequentialAndThreadedAgreeAcrossMidTrainingMigration) {
+  for (bool t2 : {false, true}) {
+    const std::string suffix = t2 ? " +T2" : "";
+    expect_sequential_parity_across_migration(t2, make_threaded, "threaded" + suffix);
+    expect_sequential_parity_across_migration(t2, make_stealing,
+                                              "threaded_steal" + suffix);
   }
 }
 

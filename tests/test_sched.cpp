@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/backend.h"
@@ -25,6 +27,7 @@
 #include "src/nn/heads.h"
 #include "src/nn/linear.h"
 #include "src/nn/model.h"
+#include "src/obs/metrics.h"
 #include "src/pipeline/engine.h"
 #include "src/pipeline/threaded_engine.h"
 #include "src/sched/steal_policy.h"
@@ -449,6 +452,168 @@ TEST(StealingEngine, WorkerCountIndependentOfStageCount) {
   std::uint64_t total = 0;
   for (const auto& s : stats) total += s.items;
   EXPECT_EQ(total, 2u * 2u * 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy weight views: fallback parity matrix and copy accounting
+// ---------------------------------------------------------------------------
+
+/// One configuration of the view parity matrix.
+struct ViewCase {
+  std::string label;
+  pipeline::Method method = pipeline::Method::PipeMare;
+  int stages = 4;
+  bool split_bias = false;
+  bool t2 = false;
+  bool t2_per_microbatch = false;
+  int switch_at = -1;  ///< T3: train Sync until this step, then `method`
+  bool empty_stage = false;  ///< stage 1 owns no weight units
+};
+
+TEST(WeightViews, FallbackParityMatrixMatchesSequentialBitwise) {
+  // Every path of WeightVersions::forward_view / backward_view — the
+  // in-place fast paths and the scratch fallbacks — on both view-based
+  // backends must reproduce the copying sequential engine bit for bit.
+  const std::vector<ViewCase> cases = {
+      // 4 Linear layers split into 8 units over 3 stages: the cut between
+      // stages 1 and 2 falls between a weight and its bias, so stage 1's
+      // forward reads two versions.
+      {"split_bias PipeMare+T2 (mixed-version forward)", pipeline::Method::PipeMare, 3,
+       true, true},
+      {"t2_per_microbatch (scratch backward)", pipeline::Method::PipeMare, 4, false, true,
+       true},
+      {"PipeMare without T2", pipeline::Method::PipeMare, 4},
+      {"PipeDream (backward = forward view)", pipeline::Method::PipeDream, 4},
+      {"PipeDream split_bias", pipeline::Method::PipeDream, 3, true},
+      {"Sync", pipeline::Method::Sync, 4, false, true},
+      {"T3 Sync->PipeMare+T2", pipeline::Method::PipeMare, 4, false, true, false, 2},
+      // 4 Linear layers split into 8 units over 8 stages: every odd stage
+      // is scheduled only a bias, so it owns no module and no weight unit.
+      {"stages owning no weight units", pipeline::Method::PipeMare, 8, true, true, false,
+       -1, true},
+  };
+  constexpr int kSteps = 5;
+  for (const ViewCase& c : cases) {
+    MlpFixture fx(/*layers=*/3, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
+    auto cfg = steal_config(c.method, c.stages, 4, /*workers=*/3, StealMode::Forced);
+    cfg.engine.split_bias = c.split_bias;
+    cfg.engine.discrepancy_correction = c.t2;
+    cfg.engine.decay_d = 0.25;
+    cfg.engine.t2_per_microbatch = c.t2_per_microbatch;
+    pipeline::PipelineEngine seq(fx.model, cfg.engine, 1);
+    pipeline::ThreadedEngine thr(fx.model, cfg.engine, 1);
+    StealingEngine steal(fx.model, cfg, 1);
+    if (c.empty_stage) {
+      auto ranges = pipeline::stage_module_ranges(steal.partition());
+      ASSERT_EQ(ranges[1].unit_first, ranges[1].unit_last) << c.label;
+    }
+    for (int step = 0; step < kSteps; ++step) {
+      if (c.switch_at >= 0) {
+        auto m = step < c.switch_at ? pipeline::Method::Sync : c.method;
+        seq.set_method(m);
+        thr.set_method(m);
+        steal.set_method(m);
+      }
+      auto rs = seq.forward_backward(fx.inputs, fx.targets, fx.head);
+      auto rt = thr.forward_backward(fx.inputs, fx.targets, fx.head);
+      auto rw = steal.forward_backward(fx.inputs, fx.targets, fx.head);
+      ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << c.label << " threaded step " << step;
+      ASSERT_DOUBLE_EQ(rs.loss, rw.loss) << c.label << " threaded_steal step " << step;
+      ASSERT_EQ(rs.finite, rw.finite) << c.label << " step " << step;
+      auto gs = seq.gradients();
+      auto gt = thr.gradients();
+      auto gw = steal.gradients();
+      for (std::size_t i = 0; i < gs.size(); ++i) {
+        ASSERT_EQ(gs[i], gt[i]) << c.label << " threaded grad " << i << " step " << step;
+        ASSERT_EQ(gs[i], gw[i]) << c.label << " threaded_steal grad " << i << " step "
+                                << step;
+      }
+      for (std::size_t i = 0; i < gs.size(); ++i) {
+        seq.weights()[i] -= 0.05F * gs[i];
+        thr.weights()[i] -= 0.05F * gt[i];
+        steal.weights()[i] -= 0.05F * gw[i];
+      }
+      seq.commit_update();
+      thr.commit_update();
+      steal.commit_update();
+    }
+    for (std::size_t i = 0; i < seq.weights().size(); ++i) {
+      ASSERT_EQ(seq.weights()[i], thr.weights()[i]) << c.label << " weight " << i;
+      ASSERT_EQ(seq.weights()[i], steal.weights()[i]) << c.label << " weight " << i;
+    }
+  }
+}
+
+/// SGD step on the stealing engine, returning the bytes the step copied
+/// (tasks, then commit) through "train.weights.bytes_copied".
+std::pair<std::uint64_t, std::uint64_t> copied_bytes_per_step(StealingEngine& eng,
+                                                              MlpFixture& fx) {
+  obs::Counter& copied =
+      obs::MetricsRegistry::instance().counter("train.weights.bytes_copied");
+  const std::uint64_t before = copied.value();
+  (void)eng.forward_backward(fx.inputs, fx.targets, fx.head);
+  const std::uint64_t after_tasks = copied.value();
+  auto g = eng.gradients();
+  for (std::size_t i = 0; i < g.size(); ++i) eng.weights()[i] -= 0.05F * g[i];
+  eng.commit_update();
+  return {after_tasks - before, copied.value() - after_tasks};
+}
+
+TEST(WeightViews, PerStageT2StepCopiesOnlyTheRingPublish) {
+  // PipeMare + T2 without split_bias: every task reads its weights in
+  // place, and the commit copies the model exactly once (the ring
+  // publish; the delta EMA and the T2 backward weights ride along).
+  MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
+  auto cfg = steal_config(pipeline::Method::PipeMare, 4, 4, /*workers=*/3,
+                          StealMode::Forced);
+  cfg.engine.discrepancy_correction = true;
+  StealingEngine eng(fx.model, cfg, 1);
+  const std::uint64_t model_bytes = 4 * static_cast<std::uint64_t>(fx.model.param_count());
+  for (int step = 0; step < 4; ++step) {
+    auto [tasks, commit] = copied_bytes_per_step(eng, fx);
+    EXPECT_EQ(tasks, 0u) << "step " << step;
+    EXPECT_EQ(commit, model_bytes) << "step " << step;
+  }
+}
+
+TEST(WeightViews, SplitBiasFallbackBytesAreCounted) {
+  // With split_bias a stage's bias unit is scheduled one stage later, so
+  // once the versions diverge the stage's forward assembles into scratch:
+  // exactly the stage's unit bytes for every (stage, microbatch) whose
+  // units read different versions.
+  constexpr int kStages = 4;
+  constexpr int kMicro = 4;
+  MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, kMicro);
+  auto cfg = steal_config(pipeline::Method::PipeMare, kStages, kMicro, /*workers=*/3,
+                          StealMode::Forced);
+  cfg.engine.split_bias = true;
+  cfg.engine.discrepancy_correction = true;
+  StealingEngine eng(fx.model, cfg, 1);
+  const pipeline::Partition& part = eng.partition();
+  const auto ranges = pipeline::stage_module_ranges(part);
+  std::uint64_t total_fallback = 0;
+  for (int step = 0; step < 6; ++step) {
+    std::uint64_t expected = 0;
+    for (int s = 0; s < kStages; ++s) {
+      const auto& r = ranges[static_cast<std::size_t>(s)];
+      for (int m = 0; m < kMicro; ++m) {
+        std::set<std::int64_t> versions;
+        std::uint64_t bytes = 0;
+        for (int u = r.unit_first; u < r.unit_last; ++u) {
+          int stage = part.unit_stage[static_cast<std::size_t>(u)];
+          versions.insert(std::max<std::int64_t>(
+              step - eng.schedule().fwd_staleness(stage, m), 0));
+          bytes += 4 * static_cast<std::uint64_t>(part.units[static_cast<std::size_t>(u)].size);
+        }
+        if (versions.size() > 1) expected += bytes;
+      }
+    }
+    auto [tasks, commit] = copied_bytes_per_step(eng, fx);
+    EXPECT_EQ(tasks, expected) << "step " << step;
+    EXPECT_EQ(commit, 4 * static_cast<std::uint64_t>(fx.model.param_count()));
+    total_fallback += tasks;
+  }
+  EXPECT_GT(total_fallback, 0u) << "the split_bias fallback must be exercised";
 }
 
 }  // namespace
