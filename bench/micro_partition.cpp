@@ -5,8 +5,8 @@
 // ones, so the paper's uniform-by-count split (Section 4.1) piles the
 // heavy units onto one stage while the cost-balanced split spreads them.
 // For each strategy the bench reports the partitioner's predicted stage
-// costs (cost_model.h) next to ThreadedEngine's measured busy / wait
-// nanoseconds (stage_stats()), plus end-to-end steps/sec — uniform's
+// costs (cost_model.h) next to the "threaded" backend's measured busy /
+// wait nanoseconds per stage, plus end-to-end steps/sec — uniform's
 // throughput is bounded by its overloaded stage, so balanced should win
 // on both the balance ratio and the wall clock.
 //
@@ -52,7 +52,7 @@ nn::Model make_skewed_mlp() {
 
 struct RunResult {
   pipeline::Partition partition;
-  std::vector<pipeline::ThreadedEngine::StageStats> stats;
+  std::vector<pipeline::StageStats> stats;  ///< per stage (= per worker)
   double steps_per_sec = 0.0;
 };
 
@@ -71,19 +71,21 @@ RunResult run_strategy(pipeline::PartitionStrategy strategy, bool measured,
 
   auto backend = core::BackendRegistry::instance().create(
       make_skewed_mlp(), core::BackendConfig("threaded"), ec, seed);
-  auto* threaded = dynamic_cast<core::ThreadedBackend*>(backend.get());
+  const auto& engine = dynamic_cast<core::ThreadedStealBackend&>(*backend).engine();
 
   // Warmup fills the version ring and faults in buffers off the clock.
   for (int s = 0; s < 2; ++s) benchutil::backend_step(*backend, workload);
-  threaded->engine().reset_stage_stats();
+  backend->reset_stage_stats();
 
   auto t0 = std::chrono::steady_clock::now();
   for (int s = 0; s < steps; ++s) benchutil::backend_step(*backend, workload);
   auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
-  r.partition = threaded->engine().partition();
-  r.stats = threaded->engine().stage_stats();
+  r.partition = engine.partition();
+  // Stage-per-thread, worker s runs exactly stage s, so the per-worker
+  // counters are the per-stage busy and wait times.
+  r.stats = engine.worker_stats();
   double secs = std::chrono::duration<double>(t1 - t0).count();
   r.steps_per_sec = secs > 0.0 ? steps / secs : 0.0;
   return r;
@@ -94,7 +96,7 @@ void print_run(const std::string& label, const RunResult& r) {
             << util::fmt(r.partition.balance_ratio(), 2) << ", "
             << util::fmt(r.steps_per_sec, 1) << " steps/s)\n";
   util::Table t({"stage", "units", "params", "predicted share", "busy ms",
-                 "busy share", "pop wait ms", "push wait ms"});
+                 "busy share", "pop wait ms"});
   double cost_total = 0.0;
   for (double c : r.partition.stage_cost) cost_total += c;
   std::uint64_t busy_total = 0;
@@ -113,8 +115,7 @@ void print_run(const std::string& label, const RunResult& r) {
                              : 0.0,
                          1) +
                    "%",
-               util::fmt(static_cast<double>(r.stats[idx].pop_wait_ns) / 1e6, 1),
-               util::fmt(static_cast<double>(r.stats[idx].push_wait_ns) / 1e6, 1)});
+               util::fmt(static_cast<double>(r.stats[idx].pop_wait_ns) / 1e6, 1)});
   }
   std::cout << t.to_string() << '\n';
 }
@@ -135,7 +136,6 @@ benchutil::Json run_to_json(const std::string& label, const RunResult& r) {
     st.set("predicted_cost", r.partition.stage_cost[idx]);
     st.set("busy_ns", r.stats[idx].busy_ns);
     st.set("pop_wait_ns", r.stats[idx].pop_wait_ns);
-    st.set("push_wait_ns", r.stats[idx].push_wait_ns);
     stages.push(std::move(st));
   }
   j.set("stages", std::move(stages));

@@ -3,20 +3,21 @@
 //
 // The uniform-by-count split piles the two wide layers onto one stage, so
 // the stage-per-thread "threaded" engine is bounded by that stage while
-// its siblings burn pop-wait. The bench compares three remedies for the
-// same workload:
+// its siblings burn pop-wait. The bench compares that baseline with two
+// remedies on the same workload:
 //   threaded/uniform    the baseline (one thread per stage, skewed load)
 //   threaded/balanced   the static fix (cost-model split, PR 4)
-//   steal/uniform       the runtime fix (threaded_steal: W workers over
+//   steal/load-aware    the runtime fix (threaded_steal: W workers over
 //                       the *uniform* split, idle workers stealing from
 //                       the busy-share leader)
-// plus steal/off as a sanity row (stealing disabled ~= threaded/uniform).
+// ("threaded" is the same engine with W = P and stealing off, so a
+// steal/off row would just repeat threaded/uniform.)
 //
-// For the stage-per-thread engine, per-stage busy spread IS per-thread
-// busy spread. For the stealing engine the per-stage spread is invariant
-// (a stage's compute is its compute wherever it runs), so the number that
-// shows the win is the per-*worker* busy spread — with stealing enabled it
-// should drop toward 1.0 while threaded/uniform stays pinned at the skew.
+// Stage-per-thread, per-stage busy spread IS per-thread busy spread. With
+// stealing the per-stage spread is invariant (a stage's compute is its
+// compute wherever it runs), so the number that shows the win is the
+// per-*worker* busy spread — with stealing enabled it should drop toward
+// 1.0 while threaded/uniform stays pinned at the skew.
 // Loss curves are bitwise identical across the uniform-partition rows by
 // construction (only scheduling differs); the balanced row moves stage
 // boundaries, which changes PipeMare's delay distribution and therefore
@@ -91,22 +92,19 @@ RunResult run_backend(const std::string& label, const core::BackendConfig& backe
   r.steps_per_sec = secs > 0.0 ? steps / secs : 0.0;
   r.loss = last.loss;
 
-  // Busy spread over *execution threads*: stage slots for the
-  // stage-per-thread engine, worker slots for the stealing engine.
-  if (auto* steal = dynamic_cast<core::ThreadedStealBackend*>(built.get())) {
-    r.worker_spread = core::StageLoadObserver::busy_spread(steal->engine().worker_stats());
-    std::uint64_t busy = 0;
-    std::uint64_t stolen = 0;
-    for (const auto& st : steal->engine().stage_stats()) {
-      busy += st.busy_ns;
-      stolen += st.stolen_ns;
-      r.steals += st.stolen_items;
-    }
-    r.stolen_busy_share = busy > 0 ? static_cast<double>(stolen) / static_cast<double>(busy)
-                                   : 0.0;
-  } else {
-    r.worker_spread = core::StageLoadObserver::busy_spread(built->stage_stats());
+  // Busy spread over *execution threads* (worker slots; stage-per-thread,
+  // worker s is stage s).
+  const auto& engine = dynamic_cast<core::ThreadedStealBackend&>(*built).engine();
+  r.worker_spread = core::StageLoadObserver::busy_spread(engine.worker_stats());
+  std::uint64_t busy = 0;
+  std::uint64_t stolen = 0;
+  for (const auto& st : engine.stage_stats()) {
+    busy += st.busy_ns;
+    stolen += st.stolen_ns;
+    r.steals += st.stolen_items;
   }
+  r.stolen_busy_share =
+      busy > 0 ? static_cast<double>(stolen) / static_cast<double>(busy) : 0.0;
   return r;
 }
 
@@ -140,13 +138,6 @@ int main(int argc, char** argv) {
   rows.push_back(run_backend("threaded/balanced", core::BackendConfig("threaded"),
                              pipeline::PartitionStrategy::Balanced, workload, stages,
                              microbatches, steps, seed));
-  core::StealOptions off;
-  off.workers = workers;
-  off.mode = sched::StealMode::Disabled;
-  rows.push_back(run_backend("steal/off (sanity)",
-                             core::BackendConfig("threaded_steal", off),
-                             pipeline::PartitionStrategy::Uniform, workload, stages,
-                             microbatches, steps, seed));
   core::StealOptions load;
   load.workers = workers;
   load.mode = sched::StealMode::LoadAware;
@@ -166,7 +157,7 @@ int main(int argc, char** argv) {
   std::cout << t.to_string() << '\n';
 
   const RunResult& uniform = rows[0];
-  const RunResult& stealing = rows[3];
+  const RunResult& stealing = rows[2];
   std::cout << "stealing vs stage-per-thread on the uniform split: worker busy "
                "spread "
             << util::fmt(uniform.worker_spread, 2) << " -> "

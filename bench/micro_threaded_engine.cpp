@@ -1,7 +1,8 @@
 // Wall-clock comparison of the "sequential" (analytic PipelineEngine) and
-// "threaded" (stage-per-thread ThreadedEngine) registry backends on an
-// identical training step. The two produce bitwise-identical results
-// (tests/test_threaded_engine, tests/test_backend_registry); this benchmark
+// "threaded" (stage-per-thread: StealingEngine with one worker per stage,
+// stealing off) registry backends on an identical training step. The two
+// produce bitwise-identical results (tests/test_threaded_engine,
+// tests/test_backend_registry); this benchmark
 // measures the real concurrency the threaded backend adds. On a host with
 // >= P cores the threaded rows should show a >= 2x higher items/s at P = 4
 // once per-stage compute dominates queue overhead; on a single-core host
@@ -11,8 +12,6 @@
 //   [--benchmark_filter=...] [--benchmark_min_time=...]
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstddef>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -47,22 +46,6 @@ void BM_PipelineBackendStep(benchmark::State& state, const std::string& backend)
     benchmark::DoNotOptimize(res);
   }
   state.SetItemsProcessed(state.iterations() * kMicroBatches * kMicroSize);
-  // Peak mailbox occupancy across stages (threaded backend only): with the
-  // credit-based 1F1B lane bounds these stay at most min(N, P - s + 1) per
-  // lane for stage s (the old configuration buffered up to N per lane).
-  if (auto* threaded = dynamic_cast<core::ThreadedBackend*>(be.get())) {
-    std::size_t fwd_peak = 0;
-    std::size_t bwd_peak = 0;
-    std::size_t inflight_peak = 0;
-    for (const auto& ls : threaded->engine().lane_stats()) {
-      fwd_peak = std::max(fwd_peak, ls.fwd_high_water);
-      bwd_peak = std::max(bwd_peak, ls.bwd_high_water);
-      inflight_peak = std::max(inflight_peak, ls.inflight_high_water);
-    }
-    state.counters["peak_fwd_lane"] = static_cast<double>(fwd_peak);
-    state.counters["peak_bwd_lane"] = static_cast<double>(bwd_peak);
-    state.counters["peak_inflight"] = static_cast<double>(inflight_peak);
-  }
 }
 BENCHMARK_CAPTURE(BM_PipelineBackendStep, sequential, "sequential")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);

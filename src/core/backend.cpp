@@ -150,8 +150,8 @@ BackendRegistry::BackendRegistry() {
       },
       [](nn::Model model, const BackendConfig&, const pipeline::EngineConfig& engine,
          std::uint64_t seed) -> std::unique_ptr<ExecutionBackend> {
-        return std::make_unique<ThreadedBackend>("threaded", std::move(model), engine,
-                                                 seed);
+        return std::make_unique<ThreadedStealBackend>(
+            "threaded", std::move(model), sched::threaded_config(engine), seed);
       });
 
   register_backend(

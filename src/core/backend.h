@@ -113,8 +113,10 @@ struct SequentialOptions {
   static constexpr std::string_view kName = "SequentialOptions";
 };
 
-/// "threaded" — the stage-per-thread ThreadedEngine. No extra knobs;
-/// rejects engine.recompute_segments > 0 (an analytic-engine feature).
+/// "threaded" — stage-per-thread execution: sched::StealingEngine with one
+/// worker per stage and stealing off (sched::threaded_config). No extra
+/// knobs; rejects engine.recompute_segments > 0 (an analytic-engine
+/// feature).
 struct ThreadedOptions {
   static constexpr std::string_view kName = "ThreadedOptions";
 };
@@ -142,7 +144,7 @@ struct ThreadedHogwildOptions {
 /// forward/backward tasks, idle workers stealing from the busy-share
 /// leader while stolen tasks keep the owner stage's weight version
 /// (PipeMare's delay distribution is unchanged; curves are bitwise equal
-/// to "threaded" in every mode).
+/// to "sequential" and "threaded" in every mode).
 struct StealOptions {
   static constexpr std::string_view kName = "StealOptions";
   int workers = 0;  ///< worker threads; 0 = min(cores, num_stages)

@@ -2,11 +2,11 @@
 
 // The EngineBackend adapter lives apart from backend.h so that
 // TrainerConfig consumers (everything including trainer.h) depend only on
-// the ExecutionBackend interface + registry, not on the four concrete
+// the ExecutionBackend interface + registry, not on the concrete
 // engine headers. Include this header where the adapter itself is needed:
 // the registry factories (backend.cpp), custom backend registrations, and
 // callers that dynamic_cast a created backend to reach an engine-specific
-// surface (e.g. ThreadedEngine::lane_stats in the micro benches).
+// surface (e.g. StealingEngine::worker_stats in the micro benches).
 
 #include <concepts>
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "src/hogwild/hogwild.h"
 #include "src/hogwild/threaded_hogwild.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/sched/stealing_engine.h"
 
 namespace pipemare::core {
@@ -99,7 +98,7 @@ class EngineBackend final : public ExecutionBackend {
   }
 
   /// The wrapped engine, for callers needing its concrete surface
-  /// (e.g. ThreadedEngine::lane_stats in the micro benches).
+  /// (e.g. StealingEngine::worker_stats in the micro benches).
   Engine& engine() { return engine_; }
   const Engine& engine() const { return engine_; }
 
@@ -111,9 +110,9 @@ class EngineBackend final : public ExecutionBackend {
 
 /// Concrete adapter instantiations of the built-in backends (what the
 /// registry factories return; dynamic_cast targets for engine-specific
-/// introspection).
+/// introspection). "threaded" and "threaded_steal" are both
+/// ThreadedStealBackend.
 using SequentialBackend = EngineBackend<pipeline::PipelineEngine, pipeline::EngineConfig>;
-using ThreadedBackend = EngineBackend<pipeline::ThreadedEngine, pipeline::EngineConfig>;
 using HogwildBackend = EngineBackend<hogwild::HogwildEngine, hogwild::HogwildConfig>;
 using ThreadedHogwildBackend =
     EngineBackend<hogwild::ThreadedHogwildEngine, hogwild::HogwildConfig>;

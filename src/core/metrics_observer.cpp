@@ -30,19 +30,6 @@ void MetricsObserver::on_epoch(EpochRecord& record) {
   // surfaces (no ExecutionBackend virtuals for these — they are
   // engine-private notions, mirrored into the registry here so every
   // consumer reads one uniform snapshot).
-  if (const auto* threaded = dynamic_cast<const ThreadedBackend*>(backend_)) {
-    const auto lanes = threaded->engine().lane_stats();
-    for (std::size_t s = 0; s < lanes.size(); ++s) {
-      const std::string prefix =
-          "pipeline.mailbox.stage" + std::to_string(s) + ".";
-      gauge(prefix + "fwd_high_water")
-          .set(static_cast<double>(lanes[s].fwd_high_water));
-      gauge(prefix + "bwd_high_water")
-          .set(static_cast<double>(lanes[s].bwd_high_water));
-      gauge(prefix + "inflight_high_water")
-          .set(static_cast<double>(lanes[s].inflight_high_water));
-    }
-  }
   if (const auto* steal = dynamic_cast<const ThreadedStealBackend*>(backend_)) {
     // Cumulative engine-side truth (the "sched.steal_log_dropped" counter
     // only sees drops since process start across all engines; this gauge

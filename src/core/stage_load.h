@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/engine_backend.h"
+#include "src/core/backend.h"
 #include "src/core/trainer.h"
 
 namespace pipemare::core {
@@ -22,8 +22,7 @@ namespace pipemare::core {
 /// Works over any ExecutionBackend: backends without per-slot
 /// instrumentation (sequential, hogwild) report empty stats and the
 /// observer deactivates itself. Attach to a backend created by the
-/// registry, or to a ThreadedEngine directly, then pass to train_loop's
-/// observer list:
+/// registry, then pass to train_loop's observer list:
 ///
 ///   auto backend = BackendRegistry::instance().create(...);
 ///   StageLoadObserver load(*backend);
@@ -36,8 +35,6 @@ class StageLoadObserver final : public StepObserver {
 
   explicit StageLoadObserver(const ExecutionBackend& backend)
       : backend_(&backend) {}
-  explicit StageLoadObserver(const pipeline::ThreadedEngine& engine)
-      : engine_(&engine) {}
 
   /// False when the observed backend has no per-slot instrumentation.
   bool active() const { return !sample().empty(); }
@@ -62,8 +59,6 @@ class StageLoadObserver final : public StepObserver {
       for (std::size_t s = 0; s < delta.size(); ++s) {
         delta[s].busy_ns = since(cumulative[s].busy_ns, last_[s].busy_ns);
         delta[s].pop_wait_ns = since(cumulative[s].pop_wait_ns, last_[s].pop_wait_ns);
-        delta[s].push_wait_ns =
-            since(cumulative[s].push_wait_ns, last_[s].push_wait_ns);
         delta[s].items = since(cumulative[s].items, last_[s].items);
         delta[s].stolen_items = since(cumulative[s].stolen_items, last_[s].stolen_items);
         delta[s].stolen_ns = since(cumulative[s].stolen_ns, last_[s].stolen_ns);
@@ -107,13 +102,9 @@ class StageLoadObserver final : public StepObserver {
   }
 
  private:
-  std::vector<StageStats> sample() const {
-    if (engine_ != nullptr) return engine_->stage_stats();
-    return backend_->stage_stats();
-  }
+  std::vector<StageStats> sample() const { return backend_->stage_stats(); }
 
   const ExecutionBackend* backend_ = nullptr;
-  const pipeline::ThreadedEngine* engine_ = nullptr;
   std::vector<StageStats> last_;
   std::vector<std::vector<StageStats>> epoch_stats_;
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -34,13 +35,7 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
                   pipeline::make_partition(model, cfg_.num_stages, cfg_.split_bias,
                                            cfg_.partition))),
       mean_delay_(resolve_mean_delay(cfg_)),
-      delay_rng_(seed ^ 0x9e3779b97f4a7c15ULL),
-      // Forward lane as a plain multi-consumer work queue: items are bare
-      // microbatch indices (inputs stay with the caller), so the lane
-      // capacity is a queue depth, not an activation-memory bound; credit
-      // gating is a single-consumer protocol and stays disabled.
-      work_(static_cast<std::size_t>(cfg_.num_microbatches),
-            pipeline::StageMailbox::kUnboundedCredits) {
+      delay_rng_(seed ^ 0x9e3779b97f4a7c15ULL) {
   // The probe microbatch is consumed by make_partition above; don't keep
   // its tensors alive for the whole engine lifetime.
   cfg_.partition.probe.reset();
@@ -49,8 +44,8 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
       throw std::invalid_argument(
           "ThreadedHogwildEngine: module '" + model_.module(m).name() +
           "' mutates state in forward (stateful_forward); concurrent "
-          "whole-model replicas would race on it. Use HogwildEngine or the "
-          "stage-partitioned ThreadedEngine instead.");
+          "whole-model replicas would race on it. Use the 'hogwild' backend "
+          "or the stage-partitioned 'threaded' backend instead.");
     }
   }
 
@@ -64,39 +59,20 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
   unit_version_.assign(static_cast<std::size_t>(partition_.num_units()), 0);
   staleness_ = pipeline::staleness_histograms(cfg_.num_stages);
 
-  int w = resolve_worker_count(cfg_);
+  const int w = resolve_worker_count(cfg_);
   stats_.assign(static_cast<std::size_t>(w), pipeline::StageStats{});
-  workers_.reserve(static_cast<std::size_t>(w));
-  try {
-    for (int i = 0; i < w; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  } catch (...) {
-    // Same partial-spawn recovery as ThreadedEngine: join what started so
-    // destroying joinable std::threads does not std::terminate.
-    {
-      util::MutexLock lock(ctrl_m_);
-      shutdown_ = true;
-    }
-    ctrl_go_.notify_all();
-    for (auto& worker : workers_) worker.join();
-    throw;
-  }
+  scratch_.assign(static_cast<std::size_t>(w), std::vector<float>(live_.size()));
+
+  // Spawn last: drain() touches every field above.
+  pool_ = std::make_unique<sched::WorkerPool>(w, [this](int worker) { drain(worker); });
 }
 
-ThreadedHogwildEngine::~ThreadedHogwildEngine() {
-  {
-    util::MutexLock lock(ctrl_m_);
-    shutdown_ = true;
-  }
-  ctrl_go_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
+ThreadedHogwildEngine::~ThreadedHogwildEngine() = default;
 
 void ThreadedHogwildEngine::record_failure(const char* what) {
   bool expected = false;
   if (mb_failed_.compare_exchange_strong(expected, true)) {
-    util::MutexLock lock(ctrl_m_);
+    util::MutexLock lock(error_m_);
     mb_error_ = what;
   }
 }
@@ -159,46 +135,20 @@ void ThreadedHogwildEngine::process_micro(int micro, std::vector<float>& w,
   }
 }
 
-void ThreadedHogwildEngine::worker_loop(int worker) {
-  std::vector<float> w(live_.size());
+void ThreadedHogwildEngine::drain(int worker) {
+  std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
   pipeline::StageStats& stats = stats_[static_cast<std::size_t>(worker)];
-  std::uint64_t seen = 0;
+  bool w_ready = false;
   for (;;) {
+    const int micro = next_micro_.fetch_add(1, std::memory_order_relaxed);
+    if (micro >= mb_size_) return;
+    auto t0 = Clock::now();
     {
-      util::MutexLock lock(ctrl_m_);
-      while (!shutdown_ && generation_ <= seen) ctrl_go_.wait(ctrl_m_);
-      if (shutdown_) return;
-      seen = generation_;
+      obs::Span span("micro", "hogwild", -1, micro, step_);
+      process_micro(micro, w, w_ready);
     }
-    if (obs::TraceRecorder::instance().enabled()) {
-      obs::TraceRecorder::instance().set_thread_name("hogwild-worker-" +
-                                                     std::to_string(worker));
-    }
-    bool w_ready = false;
-    for (;;) {
-      // Pop wait measures in-minibatch starvation only (the wait for the
-      // next generation is between-minibatch idle, not queue contention).
-      auto t_pop = Clock::now();
-      pipeline::StageItem item;
-      {
-        obs::Span bubble("pop_wait", "hogwild", -1, -1, step_);
-        item = work_.pop();
-      }
-      stats.pop_wait_ns += ns_between(t_pop, Clock::now());
-      if (item.micro < 0) break;  // one sentinel per worker per minibatch
-      auto t0 = Clock::now();
-      {
-        obs::Span span("micro", "hogwild", -1, item.micro, step_);
-        process_micro(item.micro, w, w_ready);
-      }
-      stats.busy_ns += ns_between(t0, Clock::now());
-      ++stats.items;
-    }
-    {
-      util::MutexLock lock(ctrl_m_);
-      ++done_count_;
-    }
-    ctrl_done_.notify_one();
+    stats.busy_ns += ns_between(t0, Clock::now());
+    ++stats.items;
   }
 }
 
@@ -237,32 +187,23 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
     }
   }
 
+  mb_inputs_ = &micro_inputs;
+  mb_targets_ = &micro_targets;
+  mb_head_ = &head;
+  mb_size_ = n;
+  next_micro_.store(0, std::memory_order_relaxed);
+  mb_failed_.store(false);
   {
-    util::MutexLock lock(ctrl_m_);
-    mb_inputs_ = &micro_inputs;
-    mb_targets_ = &micro_targets;
-    mb_head_ = &head;
-    mb_failed_.store(false);
+    util::MutexLock lock(error_m_);
     mb_error_.clear();
-    done_count_ = 0;
-    ++generation_;
   }
-  ctrl_go_.notify_all();
-  for (int m = 0; m < n; ++m) {
-    work_.push_forward({pipeline::StageItem::Kind::Forward, m, {}});
-  }
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    work_.push_forward({pipeline::StageItem::Kind::Forward, -1, {}});
-  }
-  {
-    util::MutexLock lock(ctrl_m_);
-    while (done_count_ != static_cast<int>(workers_.size())) ctrl_done_.wait(ctrl_m_);
-    mb_inputs_ = nullptr;
-    mb_targets_ = nullptr;
-    mb_head_ = nullptr;
-    if (mb_failed_.load()) {
-      throw std::runtime_error("ThreadedHogwildEngine worker failed: " + mb_error_);
-    }
+  pool_->run_generation();
+  mb_inputs_ = nullptr;
+  mb_targets_ = nullptr;
+  mb_head_ = nullptr;
+  if (mb_failed_.load()) {
+    util::MutexLock lock(error_m_);
+    throw std::runtime_error("ThreadedHogwildEngine worker failed: " + mb_error_);
   }
 
   // Deterministic merge in microbatch order, matching the sequential

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/hogwild/hogwild.h"
@@ -13,8 +12,8 @@
 #include "src/optim/optimizer.h"
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
-#include "src/pipeline/stage_mailbox.h"
 #include "src/pipeline/stage_stats.h"
+#include "src/sched/worker_pool.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
 
@@ -25,15 +24,15 @@ namespace pipemare::hogwild {
 /// lock-free against the shared `live_` vector / per-stage delayed weight
 /// snapshots and writing its results into per-microbatch slots.
 ///
-/// Work distribution reuses the pipeline's StageMailbox (forward lane as a
-/// multi-consumer work queue; credits disabled — credit accounting is a
-/// single-consumer protocol). Delayed snapshots are served from the same
+/// The workers are a sched::WorkerPool running one generation per
+/// minibatch; each claims microbatches from an atomic cursor until the
+/// minibatch is exhausted. Delayed snapshots are served from the same
 /// bounded version-history ring HogwildEngine keeps, behind a seqlock-style
 /// epoch: `commit_update` brackets its history write with epoch increments
 /// (odd = writer active) and snapshot readers retry until they observe a
-/// stable even epoch. Within the current trainer the generation barrier
-/// orders commits strictly before worker reads — that barrier, not the
-/// epoch, is what makes the reads race-free (and what ThreadSanitizer
+/// stable even epoch. Within the current trainer the pool's generation
+/// barrier orders commits strictly before worker reads — that barrier, not
+/// the epoch, is what makes the reads race-free (and what ThreadSanitizer
 /// verifies). The epoch is a protocol sketch for future free-running
 /// (commit-while-reading) modes; enabling those additionally requires
 /// race-free slot storage (atomic data words or swapped version buffers),
@@ -93,17 +92,17 @@ class ThreadedHogwildEngine {
 
   const nn::Model& model() const { return model_; }
   const pipeline::Partition& partition() const { return partition_; }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return pool_->size(); }
 
   /// Per-stage delay expectations (what T1 divides by).
   std::vector<double> stage_tau_fwd() const { return mean_delay_; }
 
   /// Per-*worker* load counters (this backend has no stage workers; its
   /// unit of execution parallelism is the free-running worker thread):
-  /// busy_ns = compute of the microbatches the worker processed,
-  /// pop_wait_ns = blocked in the work-queue pop (idle/starved), items =
-  /// microbatches processed. Cumulative since construction (or the last
-  /// reset); the same shape ThreadedEngine reports per stage, so
+  /// busy_ns = compute of the microbatches the worker processed, items =
+  /// microbatches processed; pop_wait_ns stays 0 (claiming a microbatch
+  /// never blocks). Cumulative since construction (or the last reset);
+  /// the same shape the stage-partitioned backends report per stage, so
   /// core::StageLoadObserver samples every multithreaded backend
   /// uniformly. Call between minibatches (the generation barrier orders
   /// worker writes before the read).
@@ -114,7 +113,7 @@ class ThreadedHogwildEngine {
                                             std::span<const double> scales) const;
 
  private:
-  void worker_loop(int worker);
+  void drain(int worker);
   void process_micro(int micro, std::vector<float>& w, bool& w_ready);
   void assemble_delayed_weights(std::vector<float>& w) const;
   void record_failure(const char* what);
@@ -153,34 +152,31 @@ class ThreadedHogwildEngine {
   /// shared cross-backend metric family (pipeline::staleness_histograms).
   std::vector<obs::Histogram*> staleness_;
 
-  // Per-minibatch context; workers read between the go and done barriers.
-  // Barrier-published like ThreadedEngine's minibatch block (not
-  // GUARDED_BY: the lock-free worker reads are the point; the generation
-  // barrier's ctrl_m_ release/acquire pair publishes them).
-  pipeline::StageMailbox work_;  ///< forward lane = multi-consumer work queue
+  // Per-minibatch context; workers read it between the pool barriers.
+  // Barrier-published (not GUARDED_BY: the lock-free worker reads are the
+  // point; the generation barrier's release/acquire pair publishes them).
   const std::vector<nn::Flow>* mb_inputs_ = nullptr;
   const std::vector<tensor::Tensor>* mb_targets_ = nullptr;
   const nn::LossHead* mb_head_ = nullptr;
+  int mb_size_ = 0;                ///< microbatches in this minibatch
+  std::atomic<int> next_micro_{0};  ///< the workers' claim cursor
   std::vector<double> micro_loss_;
   std::vector<double> micro_correct_;
   std::vector<double> micro_count_;
   std::vector<std::vector<float>> micro_grads_;
   std::vector<std::vector<nn::Cache>> caches_;  ///< per microbatch
   std::atomic<bool> mb_failed_{false};
-  std::string mb_error_ GUARDED_BY(ctrl_m_);  ///< first worker exception
+  util::Mutex error_m_;
+  std::string mb_error_ GUARDED_BY(error_m_);  ///< first worker exception
 
   /// Per-worker load counters. Each slot is written only by its worker;
-  /// readers run between minibatches, ordered by the completion barrier
-  /// (ctrl_m_ release/acquire), so plain fields suffice.
+  /// readers run between minibatches, ordered by the generation barrier,
+  /// so plain fields suffice.
   std::vector<pipeline::StageStats> stats_;
+  /// Per worker: the delayed-weight view it assembles once per step.
+  std::vector<std::vector<float>> scratch_;
 
-  util::Mutex ctrl_m_;
-  util::CondVar ctrl_go_;
-  util::CondVar ctrl_done_;
-  std::uint64_t generation_ GUARDED_BY(ctrl_m_) = 0;
-  int done_count_ GUARDED_BY(ctrl_m_) = 0;
-  bool shutdown_ GUARDED_BY(ctrl_m_) = false;
-  std::vector<std::thread> workers_;
+  std::unique_ptr<sched::WorkerPool> pool_;  ///< last member: joins before teardown
 };
 
 }  // namespace pipemare::hogwild

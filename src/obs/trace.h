@@ -44,7 +44,7 @@ namespace pipemare::obs {
 struct TraceEvent {
   enum class Phase : std::uint8_t { Complete, Instant };
   const char* name = nullptr;  ///< string literal
-  const char* cat = nullptr;   ///< string literal ("pipeline", "sched", ...)
+  const char* cat = nullptr;   ///< string literal ("sched", "serve", ...)
   std::uint64_t ts_ns = 0;     ///< start time, ns since recorder base
   std::uint64_t dur_ns = 0;    ///< Complete events only
   Phase phase = Phase::Instant;

@@ -16,7 +16,7 @@ namespace pipemare::pipeline {
 
 /// Result of one minibatch forward/backward (shared by all engines).
 ///
-/// Non-finite contract (identical across PipelineEngine, ThreadedEngine,
+/// Non-finite contract (identical across PipelineEngine, StealingEngine,
 /// HogwildEngine and ThreadedHogwildEngine): if any microbatch's loss is
 /// non-finite, `finite` is false, `loss` holds the first (in microbatch
 /// order) non-finite loss value, `correct`/`count` are zero — a divergent
@@ -56,8 +56,9 @@ nn::LossResult evaluate_forward(const nn::Model& model, std::span<const float> p
 /// itself runs sequentially on one host. Throughput is modelled
 /// analytically in src/hwmodel — the same methodology as the paper's own
 /// PyTorch-based simulator (Appendix C.4). For real wall-clock overlap on
-/// a multicore host, see ThreadedEngine (threaded_engine.h), which shares
-/// this engine's weight-version store and produces identical results.
+/// a multicore host, see sched::StealingEngine (the "threaded" and
+/// "threaded_steal" backends), which shares this engine's weight-version
+/// store and produces identical results.
 ///
 /// The engine owns the live weights, the per-version weight history (which
 /// doubles as PipeDream's weight stash), and the T2 delta buffers (all via

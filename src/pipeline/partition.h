@@ -50,7 +50,7 @@ struct Partition {
   int num_units() const { return static_cast<int>(units.size()); }
 
   /// Load imbalance of the split: max stage cost / mean stage cost. 1.0 is
-  /// a perfect balance; the threaded engine's throughput is bounded by the
+  /// a perfect balance; stage-per-thread throughput is bounded by the
   /// slowest stage, so this ratio is the predicted slowdown vs perfect.
   double balance_ratio() const;
 };
@@ -94,8 +94,8 @@ int max_stages(const nn::Model& model, bool split_bias);
 /// unit_last). With split_bias a module's bias unit may be *scheduled* on
 /// the next stage while the module executes here; the unit range follows
 /// module ownership, and each unit's staleness follows its own scheduled
-/// stage. Shared by ThreadedEngine and sched::StealingEngine (and
-/// recomputed by both on repartition()).
+/// stage. Used by sched::StealingEngine (and recomputed on
+/// repartition()).
 struct StageModuleRange {
   int module_first = 0;
   int module_last = 0;

@@ -19,7 +19,6 @@ namespace pipemare::pipeline {
 struct StageStats {
   std::uint64_t busy_ns = 0;       ///< compute (forward/backward/loss)
   std::uint64_t pop_wait_ns = 0;   ///< blocked waiting for work (idle/starved)
-  std::uint64_t push_wait_ns = 0;  ///< blocked pushing downstream (backpressure)
   std::uint64_t items = 0;         ///< forward + backward items processed
 
   /// Work-stealing backends only (0 elsewhere). For a stage slot: tasks of

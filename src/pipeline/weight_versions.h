@@ -36,7 +36,8 @@ std::vector<obs::Histogram*> staleness_histograms(int stages);
 ///    weights materialized once per commit. Only a mixed-version stage
 ///    (split_bias schedules a module's bias on the next stage) or
 ///    per-microbatch T2 assembles into the caller's `scratch`, which is
-///    sized on first use. The threaded backends run on the views.
+///    sized on first use. StealingEngine ("threaded", "threaded_steal")
+///    runs on the views.
 ///  - The *assembly* calls (assemble_forward_units / assemble_backward_units)
 ///    always copy into a caller buffer. The sequential PipelineEngine runs
 ///    on them, so it stays the copying oracle the views are tested against.
@@ -141,9 +142,9 @@ class WeightVersions {
   // history_, live_, delta_ and bwd_weights_ only between minibatches
   // (commit_update / refresh / the optimizer mutating live()); workers call
   // the const view and assembly readers only inside a minibatch. The
-  // owning engine's generation barrier — the ctrl_m_ release/acquire pair
-  // in ThreadedEngine / the WorkerPool barrier in StealingEngine — is the
-  // happens-before edge that publishes each commit to the workers.
+  // owning engine's generation barrier — the WorkerPool barrier in
+  // StealingEngine — is the happens-before edge that publishes each
+  // commit to the workers.
   // Annotating these fields GUARDED_BY a capability would outlaw exactly
   // the lock-free reads that make the hot path scale; the unannotated
   // block marks the boundary the future free-running-commit mode must

@@ -51,6 +51,15 @@ std::vector<double> predicted_stage_costs(const nn::Model& model,
   return stage;
 }
 
+/// Disabled never reads the victim ranking, so it skips the cost profiling
+/// (a measured spec would otherwise time every module at construction).
+StealPolicy make_policy(StealMode mode, const nn::Model& model,
+                        const pipeline::Partition& partition,
+                        const pipeline::PartitionSpec& spec) {
+  if (mode == StealMode::Disabled) return StealPolicy(mode, {});
+  return StealPolicy(mode, predicted_stage_costs(model, partition, spec));
+}
+
 }  // namespace
 
 StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
@@ -62,8 +71,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
                                           cfg_.engine.partition)),
       schedule_(cfg_.engine.num_stages, cfg_.engine.num_microbatches),
       store_(model, cfg_.engine, partition_, schedule_, seed),
-      policy_(cfg_.mode,
-              predicted_stage_costs(model, partition_, cfg_.engine.partition)) {
+      policy_(make_policy(cfg_.mode, model, partition_, cfg_.engine.partition)) {
   if (cfg_.engine.recompute_segments > 0) {
     throw std::invalid_argument(
         "StealingEngine: activation recomputation is modelled only by the "
@@ -77,7 +85,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   cfg_.engine.partition.probe.reset();
   grads_.assign(store_.live().size(), 0.0F);
 
-  // Stage -> module/unit ranges, shared with ThreadedEngine.
+  // Stage -> module/unit ranges.
   ranges_ = pipeline::stage_module_ranges(partition_);
 
   const int p = cfg_.engine.num_stages;
@@ -103,6 +111,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   }
   worker_stats_.assign(static_cast<std::size_t>(w), StageStats{});
   scratch_.resize(static_cast<std::size_t>(w));
+  home_cv_ = std::make_unique<util::CondVar[]>(static_cast<std::size_t>(w));
   grads_finite_.assign(static_cast<std::size_t>(p), 1);
 
   // Spawn last: drain() touches every field above.
@@ -123,8 +132,7 @@ void StealingEngine::repartition(const pipeline::Partition& next) {
   // Reseed the victim ranking from the new split's predicted stage costs
   // (the probe was dropped after construction; the analytic fallback is
   // fine — a migrated partition carries observed-cost stage totals).
-  policy_ = StealPolicy(cfg_.mode,
-                        predicted_stage_costs(model_, partition_, cfg_.engine.partition));
+  policy_ = make_policy(cfg_.mode, model_, partition_, cfg_.engine.partition);
 }
 
 void StealingEngine::record_failure(const char* what) {
@@ -150,7 +158,7 @@ void StealingEngine::enqueue(const Task& task) {
     util::MutexLock lock(sched_m_);
     ++push_version_;
   }
-  sched_cv_.notify_all();
+  notify_pushed(task.stage);
 }
 
 void StealingEngine::mark_backward_ready(int stage, int micro) {
@@ -171,7 +179,15 @@ void StealingEngine::mark_backward_ready(int stage, int micro) {
       notify = true;
     }
   }
-  if (notify) sched_cv_.notify_all();
+  if (notify) notify_pushed(stage);
+}
+
+void StealingEngine::notify_pushed(int stage) {
+  if (policy_.steal_enabled()) {
+    sched_cv_.notify_all();
+  } else {
+    home_cv_[static_cast<std::size_t>(home_worker(stage))].notify_one();
+  }
 }
 
 void StealingEngine::complete_task() {
@@ -180,7 +196,10 @@ void StealingEngine::complete_task() {
     util::MutexLock lock(sched_m_);
     all_done = --remaining_ == 0;
   }
-  if (all_done) sched_cv_.notify_all();
+  if (!all_done) return;
+  // Every idle worker must wake to exit, whichever condvar it sleeps on.
+  sched_cv_.notify_all();
+  for (int w = 0; w < pool_->size(); ++w) home_cv_[static_cast<std::size_t>(w)].notify_one();
 }
 
 bool StealingEngine::acquire_home(int worker, Task& out) {
@@ -253,11 +272,14 @@ void StealingEngine::drain(int worker) {
     // before the scan makes the wait race-free — a push between scan and
     // wait leaves push_version_ != version, so the wait condition is
     // already true and we never sleep through work.
+    util::CondVar& idle = policy_.steal_enabled()
+                              ? sched_cv_
+                              : home_cv_[static_cast<std::size_t>(worker)];
     auto t0 = Clock::now();
     {
       obs::Span bubble("pop_wait", "sched", -1, -1, store_.step());
       util::MutexLock lock(sched_m_);
-      while (remaining_ != 0 && push_version_ == version) sched_cv_.wait(sched_m_);
+      while (remaining_ != 0 && push_version_ == version) idle.wait(sched_m_);
     }
     ws.pop_wait_ns += ns_between(t0, Clock::now());
   }
@@ -385,7 +407,7 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
       notify = true;
     }
   }
-  if (notify) sched_cv_.notify_all();
+  if (notify) notify_pushed(s);
   return busy;
 }
 

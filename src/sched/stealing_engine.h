@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/nn/heads.h"
@@ -33,6 +34,17 @@ struct StealConfig {
                             ///< deterministic modes log regardless)
 };
 
+/// The "threaded" registry backend: one worker per stage with stealing
+/// off, so stage s runs only on worker s — stage-per-thread 1F1B
+/// execution (PipeDream-style pipelined workers) on this engine.
+inline StealConfig threaded_config(pipeline::EngineConfig engine) {
+  StealConfig cfg;
+  cfg.workers = engine.num_stages;
+  cfg.engine = std::move(engine);
+  cfg.mode = StealMode::Disabled;
+  return cfg;
+}
+
 /// One recorded steal: worker `worker` executed a task of stage `stage`
 /// (whose home worker it is not) during optimizer step `step`.
 struct StealRecord {
@@ -44,7 +56,8 @@ struct StealRecord {
 };
 
 /// Work-stealing pipeline-parallel execution (registered with the
-/// core::BackendRegistry as "threaded_steal"): instead of pinning one
+/// core::BackendRegistry as "threaded_steal", and — through
+/// threaded_config — as "threaded"): instead of pinning one
 /// thread per stage, W workers — W chosen independently of P — drain
 /// per-stage TaskQueue deques of *ready* forward/backward microbatch
 /// tasks, and an idle worker steals the oldest ready task from the stage
@@ -58,15 +71,14 @@ struct StealRecord {
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
 /// and backward parameter view is read through the same shared
-/// WeightVersions snapshot protocol the sequential and threaded engines
-/// use (in place, through its zero-copy views), so the delay distribution
+/// WeightVersions snapshot protocol the sequential engine uses (here in
+/// place, through its zero-copy views), so the delay distribution
 /// (Table 1) does not depend on which worker runs the task.
 ///
 /// Stronger still, the engine's numerics are *scheduling-independent by
 /// construction*, so training curves are bitwise-identical to the
-/// "sequential" and "threaded" engines whether stealing is off, on, or
-/// forced (tests assert both), and bitwise run-to-run reproducible in
-/// every mode:
+/// "sequential" engine whether stealing is off, on, or forced (tests
+/// assert all three), and bitwise run-to-run reproducible in every mode:
 ///  1. weight views are pure functions of (stage, micro, step) through
 ///     WeightVersions, frozen within a minibatch;
 ///  2. forwards of a stage touch disjoint per-microbatch caches and
@@ -86,7 +98,7 @@ struct StealRecord {
 ///
 /// The surface matches the core::train_loop engine concept /
 /// core::ExecutionBackend interface. Unsupported: activation
-/// recomputation (an analytic-engine feature), as in ThreadedEngine.
+/// recomputation (an analytic-engine feature).
 class StealingEngine {
  public:
   using StepResult = pipeline::StepResult;
@@ -147,8 +159,9 @@ class StealingEngine {
   /// Per-*stage* load counters, cumulative since construction (or the last
   /// reset): busy/items of the stage's tasks wherever they executed, plus
   /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// pop_wait/push_wait are 0 — waiting is a worker-side notion here; see
-  /// worker_stats(). Call between minibatches.
+  /// pop_wait is 0 — waiting is a worker-side notion here; see
+  /// worker_stats() (with threaded_config, worker s is stage s). Call
+  /// between minibatches.
   std::vector<StageStats> stage_stats() const;
   void reset_stage_stats();
 
@@ -201,6 +214,8 @@ class StealingEngine {
   /// Marks Backward(stage, micro)'s gradient input as available and
   /// enqueues it if its predecessor in the stage's backward chain is done.
   void mark_backward_ready(int stage, int micro);
+  /// Wakes the idle workers that may run a task just pushed onto `stage`.
+  void notify_pushed(int stage);
   void complete_task();
   void record_failure(const char* what);
   int home_worker(int stage) const { return stage % pool_->size(); }
@@ -244,7 +259,11 @@ class StealingEngine {
   // unlocked. Lock order is sched_m_ -> TaskQueue::m_
   // (enqueue-while-gating); TaskQueue ops never take sched_m_.
   mutable util::Mutex sched_m_;
-  util::CondVar sched_cv_;
+  util::CondVar sched_cv_;  ///< idle workers wait here when stealing is on
+  /// Per worker, when stealing is off: only a stage's home worker may run
+  /// its tasks, so a push wakes that one worker instead of all W (with
+  /// W = P > cores, waking every worker per push costs more than the work).
+  std::unique_ptr<util::CondVar[]> home_cv_;
   int remaining_ GUARDED_BY(sched_m_) = 0;
   std::uint64_t push_version_ GUARDED_BY(sched_m_) = 0;
   std::vector<int> next_bwd_ GUARDED_BY(sched_m_);      ///< per stage: next micro

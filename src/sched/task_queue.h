@@ -44,8 +44,8 @@ struct Task {
 ///     visible to the worker that pop()s the task.
 ///
 /// Priorities: the owner drains the backward lane first (backwards are the
-/// serialized, credit-returning half of 1F1B — the same pop priority the
-/// StageMailbox gives them); a thief prefers the oldest *forward* (forwards
+/// serialized half of 1F1B, and finishing one frees its microbatch's
+/// activations); a thief prefers the oldest *forward* (forwards
 /// of a stage are mutually independent, so they are the parallel-friendly
 /// work worth moving to another core, and the backward chain stays warm on
 /// whichever worker has been running it).

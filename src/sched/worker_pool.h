@@ -12,9 +12,10 @@ namespace pipemare::sched {
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies
-/// have finished. This is the release/collect barrier ThreadedEngine and
-/// ThreadedHogwildEngine each hand-roll, extracted so the stealing engine
-/// (and future substrates) can reuse it.
+/// have finished. This is the one release/collect barrier of the repo:
+/// StealingEngine (hence "threaded" and "threaded_steal"),
+/// ThreadedHogwildEngine and serve::PipelineServer all run on it, and it is
+/// the only place a std::thread is constructed.
 ///
 /// The barrier also carries the memory-ordering contract the engines rely
 /// on: everything the owner writes before run_generation() is visible to

@@ -16,7 +16,7 @@
 //
 // Why this matters here: the repo's core invariant — bitwise parity across
 // the concurrent backends — rests on a small set of locking protocols
-// (generation barriers, mailbox credits, scheduler gates). The planned
+// (generation barriers, scheduler gates, admission queues). The planned
 // free-running-commit work deliberately *weakens* those protocols into
 // seqlock reads; with the contracts in the type system, each relaxation is
 // an explicit, reviewable annotation change instead of a silent race that

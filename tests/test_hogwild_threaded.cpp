@@ -198,8 +198,8 @@ TEST(ThreadedHogwild, ResolvesWorkerCount) {
 }
 
 TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
-  // Parity with ThreadedEngine's load instrumentation: per-worker busy /
-  // pop-wait counters behind the same stage_stats() surface, so
+  // Parity with the stage-partitioned backends' load instrumentation:
+  // per-worker busy / item counters behind the same stage_stats() surface, so
   // core::StageLoadObserver samples every multithreaded backend uniformly.
   const int n = 6;
   HogwildFixture fx(n);
@@ -421,7 +421,7 @@ TEST(ThreadedHogwild, TrainsQuadraticWorkloadToSequentialLoss) {
 }
 
 TEST(Trainer, HogwildExecutionRejectsRecompute) {
-  // Parity with ThreadedEngine: recomputation is modelled only by the
+  // Parity with "threaded": recomputation is modelled only by the
   // analytic engine, so the Hogwild backend must reject it rather than
   // silently dropping the setting.
   data::RegressionConfig rc;

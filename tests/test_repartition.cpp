@@ -26,7 +26,6 @@
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
 #include "src/pipeline/repartition.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/sched/stealing_engine.h"
 #include "src/tensor/kernels/registry.h"
 #include "src/util/cli.h"
@@ -355,8 +354,9 @@ double sgd_step(EngineT& engine, const SkewedFixture& fx) {
 
 /// The view-based engines a migration must be invisible to, built from
 /// one EngineConfig: "threaded" and "threaded_steal" (forced stealing).
-std::unique_ptr<ThreadedEngine> make_threaded(const nn::Model& m, const EngineConfig& ec) {
-  return std::make_unique<ThreadedEngine>(m, ec, 1);
+std::unique_ptr<sched::StealingEngine> make_threaded(const nn::Model& m,
+                                                     const EngineConfig& ec) {
+  return std::make_unique<sched::StealingEngine>(m, sched::threaded_config(ec), 1);
 }
 
 std::unique_ptr<sched::StealingEngine> make_stealing(const nn::Model& m,
@@ -467,7 +467,7 @@ TEST(EngineMigration, EngineRejectsIncompatiblePartition) {
   EngineConfig ec;
   ec.num_stages = 4;
   ec.num_microbatches = 2;
-  ThreadedEngine thr(fx.model, ec, 1);
+  sched::StealingEngine thr(fx.model, sched::threaded_config(ec), 1);
   EXPECT_THROW(thr.repartition(make_partition(fx.model, 3, false)),
                std::invalid_argument);
   EXPECT_THROW(thr.repartition(make_partition(fx.model, 4, true)),
@@ -583,12 +583,13 @@ TEST(StageLoadObserver, BaselineResetsOnRepartitionAndSizeChange) {
   EngineConfig ec;
   ec.num_stages = 4;
   ec.num_microbatches = 2;
-  ThreadedEngine thr(fx.model, ec, 1);
-  core::StageLoadObserver load(thr);
+  auto thr = core::BackendRegistry::instance().create(make_skewed_mlp(),
+                                                      core::BackendConfig{"threaded"}, ec, 1);
+  core::StageLoadObserver load(*thr);
   core::EpochRecord rec;
   rec.metric = 0.0;
 
-  sgd_step(thr, fx);
+  sgd_step(*thr, fx);
   load.on_epoch(rec);
   ASSERT_EQ(load.epoch_stats().size(), 1u);
 
@@ -597,15 +598,15 @@ TEST(StageLoadObserver, BaselineResetsOnRepartitionAndSizeChange) {
   PartitionSpec spec;
   spec.strategy = PartitionStrategy::Balanced;
   Partition target = make_partition(fx.model, 4, false, spec);
-  Partition from = thr.partition();
-  thr.repartition(target);
-  thr.reset_stage_stats();
+  Partition from = *thr->partition();
+  thr->repartition(target);
+  thr->reset_stage_stats();
   load.on_repartition(from, target, 1);
 
-  sgd_step(thr, fx);
+  sgd_step(*thr, fx);
   load.on_epoch(rec);
   ASSERT_EQ(load.epoch_stats().size(), 2u);
-  auto fresh = thr.stage_stats();
+  auto fresh = thr->stage_stats();
   const auto& delta = load.epoch_stats().back();
   ASSERT_EQ(delta.size(), fresh.size());
   for (std::size_t s = 0; s < delta.size(); ++s) {

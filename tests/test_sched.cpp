@@ -1,8 +1,8 @@
 // The work-stealing runtime suite (tier1): TaskQueue push/pop/steal
 // mechanics (single-owner order + concurrent stealers), StealPolicy
 // ranking/refresh/parsing, WorkerPool generations, and the StealingEngine
-// guarantees the ISSUE acceptance criteria name — steals-disabled bitwise
-// parity vs the threaded engine, forced-steal bitwise parity vs the
+// guarantees — steals-disabled bitwise parity vs the sequential engine
+// (the "threaded" backend's configuration), forced-steal bitwise parity vs the
 // sequential engine, a (P, N, W) stress sweep asserting no task is lost or
 // run twice, run-to-run reproducible curves in deterministic steal mode,
 // and steal counts surfacing through core::StageLoadObserver.
@@ -29,7 +29,6 @@
 #include "src/nn/model.h"
 #include "src/obs/metrics.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/sched/steal_policy.h"
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_queue.h"
@@ -176,8 +175,8 @@ TEST(WorkerPool, RunsBodyOncePerWorkerPerGeneration) {
 // ---------------------------------------------------------------------------
 
 /// The tier-1 MLP fixture: `layers` Linear(+ReLU) units with random
-/// classification microbatches (same recipe as the threaded-engine stress
-/// suite).
+/// classification microbatches (same recipe as the "threaded" backend's
+/// stress suite).
 struct MlpFixture {
   nn::Model model;
   nn::ClassificationXent head;
@@ -246,14 +245,14 @@ void expect_bitwise_parity(Ref& ref, StealingEngine& eng, MlpFixture& fx, int st
   }
 }
 
-TEST(StealingEngine, StealsDisabledBitwiseMatchesThreaded) {
+TEST(StealingEngine, StealsDisabledBitwiseMatchesSequential) {
   for (auto method : {pipeline::Method::Sync, pipeline::Method::PipeDream,
                       pipeline::Method::PipeMare}) {
     MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
     auto cfg = steal_config(method, 4, 4, /*workers=*/4, StealMode::Disabled);
-    pipeline::ThreadedEngine thr(fx.model, cfg.engine, 1);
+    pipeline::PipelineEngine seq(fx.model, cfg.engine, 1);
     StealingEngine eng(fx.model, cfg, 1);
-    expect_bitwise_parity(thr, eng, fx, 4, pipeline::method_name(method));
+    expect_bitwise_parity(seq, eng, fx, 4, pipeline::method_name(method));
     EXPECT_EQ(eng.total_steals(), 0u);
     EXPECT_TRUE(eng.steal_log().empty());
   }
@@ -472,8 +471,9 @@ struct ViewCase {
 
 TEST(WeightViews, FallbackParityMatrixMatchesSequentialBitwise) {
   // Every path of WeightVersions::forward_view / backward_view — the
-  // in-place fast paths and the scratch fallbacks — on both view-based
-  // backends must reproduce the copying sequential engine bit for bit.
+  // in-place fast paths and the scratch fallbacks — must reproduce the
+  // copying sequential engine bit for bit, stage-per-thread ("threaded")
+  // and under forced stealing alike.
   const std::vector<ViewCase> cases = {
       // 4 Linear layers split into 8 units over 3 stages: the cut between
       // stages 1 and 2 falls between a weight and its bias, so stage 1's
@@ -501,7 +501,7 @@ TEST(WeightViews, FallbackParityMatrixMatchesSequentialBitwise) {
     cfg.engine.decay_d = 0.25;
     cfg.engine.t2_per_microbatch = c.t2_per_microbatch;
     pipeline::PipelineEngine seq(fx.model, cfg.engine, 1);
-    pipeline::ThreadedEngine thr(fx.model, cfg.engine, 1);
+    StealingEngine thr(fx.model, threaded_config(cfg.engine), 1);
     StealingEngine steal(fx.model, cfg, 1);
     if (c.empty_stage) {
       auto ranges = pipeline::stage_module_ranges(steal.partition());
