@@ -7,7 +7,8 @@
 //               a Linear-forward-shaped nt case), with a bitwise check of
 //               every tiled result against naive — the speedup numbers are
 //               only meaningful because the outputs are identical.
-//   epilogue    fused bias+ReLU GEMM vs the unfused three-pass sequence.
+//   epilogue    fused bias GEMM (matmul_nt_bias, what Linear, Conv2d and
+//               attention run) vs the unfused two-pass sequence.
 //   lanes       intra-op row-split scaling of the tiled 512^3 GEMM
 //               (single-core hosts should show ~1x: the lanes timeshare).
 //   train       steps/s of a sequential-backend MLP training loop under
@@ -163,14 +164,13 @@ EpilogueResult bench_epilogue(int m, int k, int n, int reps) {
   EpilogueResult r;
   tensor::Tensor unfused;
   r.unfused_ms = min_ns(reps, [&] {
-                   tensor::Tensor y = tensor::matmul_nt(a, bt);
-                   tensor::add_row_inplace(y, bs);
-                   unfused = tensor::relu(y);
+                   unfused = tensor::matmul_nt(a, bt);
+                   tensor::add_row_inplace(unfused, bs);
                  }) /
                  1e6;
   tensor::Tensor fused;
   r.fused_ms = min_ns(reps, [&] {
-                 fused = tensor::matmul_nt_bias_relu(a, bt, bs);
+                 fused = tensor::matmul_nt_bias(a, bt, bs);
                }) /
                1e6;
   r.bitwise_equal =
@@ -303,7 +303,7 @@ int main(int argc, char** argv) {
 
   // ---- Fused epilogue -----------------------------------------------------
   auto epi = bench_epilogue(256, 256, 256, reps);
-  std::cout << "epilogue 256^3: unfused (gemm+bias+relu) "
+  std::cout << "epilogue 256^3: unfused (gemm+bias) "
             << util::fmt(epi.unfused_ms, 2) << "ms, fused "
             << util::fmt(epi.fused_ms, 2) << "ms ("
             << util::fmt_x(epi.speedup()) << ", bitwise "

@@ -16,9 +16,9 @@
 #   4. A file using the annotation macros must include src/util/sync.h so
 #      the macros expand consistently (never re-defined locally).
 #   5. Self-check: the GUARDED_BY inventory rules 3 and 4 run on must
-#      actually see the annotated subsystems (sched worker pool, serving
-#      runtime). An empty scan would make rules 3/4 pass vacuously, so
-#      known anchor fields are asserted present.
+#      actually see the annotated subsystems (sched worker pool, task-graph
+#      runner, serving runtime). An empty scan would make rules 3/4 pass
+#      vacuously, so known anchor fields are asserted present.
 #   6. Raw GEMM accumulation loops (an indexed element += a product of
 #      indexed loads) live only in src/tensor/kernels/. Everything else
 #      goes through tensor::ops so the KernelRegistry dispatch (naive
@@ -123,15 +123,17 @@ fi
 # --- Rule 5: scan self-check ----------------------------------------------
 # Rules 3/4 pass vacuously if the GUARDED_BY extraction regex rots and the
 # inventory comes up empty. Anchor on fields that must stay guarded: the
-# worker-pool barrier state and the serving runtime's scheduler state
+# worker-pool barrier state, the task-graph runner's wakeup and generation
+# state (shared by training and serving), and the serving runtime's state
 # (src/serve/ is all-mutable-state-under-one-mutex by design).
 hits=$(
   for anchor in \
       "src/sched/worker_pool.h generation_" \
+      "src/sched/task_graph_runner.h push_version_" \
+      "src/sched/task_graph_runner.h remaining_" \
       "src/serve/request_queue.h q_" \
       "src/serve/request_queue.h closed_" \
       "src/serve/pipeline_server.h slot_busy_" \
-      "src/serve/pipeline_server.h push_version_" \
       "src/serve/pipeline_server.h counters_"; do
     header=${anchor% *}
     field=${anchor#* }

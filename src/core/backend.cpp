@@ -1,6 +1,7 @@
 #include "src/core/backend.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/core/engine_backend.h"
@@ -181,10 +182,10 @@ BackendRegistry::BackendRegistry() {
         auto opts = options_as<StealOptions>(b);
         reject_recompute("threaded_steal", engine);
         check_partition("threaded_steal", engine, model);
-        if (opts.workers < 0) {
+        if (opts.workers < 0 || opts.workers > sched::kMaxWorkers) {
           throw std::invalid_argument(
-              "backend 'threaded_steal': workers must be >= 0 (0 = "
-              "min(cores, num_stages))");
+              "backend 'threaded_steal': workers must be in [0, " +
+              std::to_string(sched::kMaxWorkers) + "] (0 = min(cores, num_stages))");
         }
       },
       [](nn::Model model, const BackendConfig& b, const pipeline::EngineConfig& engine,
@@ -194,7 +195,6 @@ BackendRegistry::BackendRegistry() {
         cfg.engine = engine;
         cfg.workers = opts.workers;
         cfg.mode = opts.mode;
-        cfg.record_log = opts.record_log;
         return std::make_unique<ThreadedStealBackend>("threaded_steal",
                                                       std::move(model),
                                                       std::move(cfg), seed);

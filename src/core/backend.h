@@ -149,8 +149,6 @@ struct StealOptions {
   static constexpr std::string_view kName = "StealOptions";
   int workers = 0;  ///< worker threads; 0 = min(cores, num_stages)
   sched::StealMode mode = sched::StealMode::LoadAware;
-  bool record_log = false;  ///< keep the per-step steal log (deterministic
-                            ///< modes log regardless)
 };
 
 /// Tagged options union. `std::monostate` means "this backend's defaults";

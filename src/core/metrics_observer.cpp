@@ -31,11 +31,8 @@ void MetricsObserver::on_epoch(EpochRecord& record) {
   // engine-private notions, mirrored into the registry here so every
   // consumer reads one uniform snapshot).
   if (const auto* steal = dynamic_cast<const ThreadedStealBackend*>(backend_)) {
-    // Cumulative engine-side truth (the "sched.steal_log_dropped" counter
-    // only sees drops since process start across all engines; this gauge
-    // is this engine's exact current value).
-    gauge("sched.dropped_log_entries")
-        .set(static_cast<double>(steal->engine().dropped_log_entries()));
+    // This engine's exact cumulative total (the "sched.steals" counter
+    // counts every runner in the process since start).
     gauge("sched.total_steals")
         .set(static_cast<double>(steal->engine().total_steals()));
   }

@@ -4,8 +4,7 @@
 // obs::MetricsRegistry at every epoch boundary: curve-level gauges
 // (train.epoch / train.loss / train.metric / train.param_norm), the
 // backend-specific instrumentation that only exists behind a concrete
-// engine surface (StealingEngine's cumulative dropped steal-log entries
-// and steal total), and — when a
+// engine surface (StealingEngine's cumulative steal total), and — when a
 // --metrics=<file> path is set — a JSON snapshot of the whole registry
 // rewritten after each epoch, so a run killed mid-training still leaves
 // its latest metrics on disk. core::train installs one automatically when

@@ -24,9 +24,6 @@ std::span<const util::FlagRule> backend_flag_rules() {
       {"steal",
        {"threaded_steal"},
        "applies to the threaded_steal backend; pass --backend=threaded_steal"},
-      {"steal-log",
-       {"threaded_steal"},
-       "applies to the threaded_steal backend; pass --backend=threaded_steal"},
       {"max-delay",
        {"hogwild", "threaded_hogwild"},
        "applies to the hogwild backends; pass --backend=hogwild or "
@@ -67,7 +64,7 @@ std::string backend_cli_help() {
          "  --kernel-lanes=<int>  (intra-op GEMM lanes per worker; 1 = off)\n"
          "  --max-delay=<float>   (hogwild family: delay truncation bound)\n"
          "  --workers=<int>       (threaded_hogwild, threaded_steal)\n"
-         "  --steal=off|load|det|forced --steal-log=0|1 (threaded_steal)\n"
+         "  --steal=off|load|det|forced (threaded_steal)\n"
          "  --repartition=off|auto[,<threshold>]  (threaded, threaded_steal: "
          "epoch-boundary dynamic repartitioning)\n"
          "  --trace=<file>        (Chrome trace-event JSON; open in Perfetto)\n"
@@ -178,7 +175,6 @@ void parse_backend_cli(const util::Cli& cli, TrainerConfig& cfg) {
     if (cli.has("steal")) {
       opts.mode = sched::parse_steal_mode(cli.get("steal", "load"));
     }
-    opts.record_log = cli.get_bool("steal-log", opts.record_log);
     cfg.backend.options = std::move(opts);
   } else if (name == "sequential" || name == "threaded") {
     // A --backend switch must not leave another backend's preset options

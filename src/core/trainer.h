@@ -369,7 +369,6 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
 ///   --workers=<int>      threaded_hogwild / threaded_steal: worker threads
 ///   --steal=off|load|det|forced
 ///                        threaded_steal: steal mode (see sched::StealMode)
-///   --steal-log=0|1      threaded_steal: keep the per-step steal log
 ///   --repartition=off|auto[,<threshold>]
 ///                        epoch-boundary dynamic repartitioning (threaded /
 ///                        threaded_steal; see pipeline::RepartitionConfig)

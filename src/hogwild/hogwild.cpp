@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/pipeline/weight_versions.h"
+#include "src/sched/worker_pool.h"
 
 namespace pipemare::hogwild {
 
@@ -23,8 +25,9 @@ void validate_config(const HogwildConfig& cfg) {
       static_cast<int>(cfg.mean_delay.size()) != cfg.num_stages) {
     throw std::invalid_argument("HogwildConfig: mean_delay size mismatch");
   }
-  if (cfg.num_workers < 0) {
-    throw std::invalid_argument("HogwildConfig: num_workers >= 0 required");
+  if (cfg.num_workers < 0 || cfg.num_workers > sched::kMaxWorkers) {
+    throw std::invalid_argument("HogwildConfig: num_workers must be in [0, " +
+                                std::to_string(sched::kMaxWorkers) + "]");
   }
 }
 

@@ -34,8 +34,8 @@ struct HogwildConfig {
 
 /// Validates a HogwildConfig the way the pipeline engines validate theirs:
 /// num_stages >= 1, num_microbatches >= 1, max_delay finite and >= 0,
-/// mean_delay empty or of size num_stages, num_workers >= 0. Throws
-/// std::invalid_argument. Shared by HogwildEngine and ThreadedHogwildEngine.
+/// mean_delay empty or of size num_stages, 0 <= num_workers <= kMaxWorkers.
+/// Throws std::invalid_argument. Shared by HogwildEngine and ThreadedHogwildEngine.
 void validate_config(const HogwildConfig& cfg);
 
 /// The per-stage delay expectations the config implies: `mean_delay` when

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -17,13 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using util::ns_between;
-
-int resolve_worker_count(const HogwildConfig& cfg) {
-  if (cfg.num_workers > 0) return cfg.num_workers;
-  auto cores = static_cast<int>(std::thread::hardware_concurrency());
-  if (cores <= 0) cores = 2;
-  return std::max(1, std::min(cores, cfg.num_microbatches));
-}
 
 }  // namespace
 
@@ -59,7 +51,7 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
   unit_version_.assign(static_cast<std::size_t>(partition_.num_units()), 0);
   staleness_ = pipeline::staleness_histograms(cfg_.num_stages);
 
-  const int w = resolve_worker_count(cfg_);
+  const int w = sched::resolve_workers(cfg_.num_workers, cfg_.num_microbatches);
   stats_.assign(static_cast<std::size_t>(w), pipeline::StageStats{});
   scratch_.assign(static_cast<std::size_t>(w), std::vector<float>(live_.size()));
 

@@ -14,7 +14,7 @@
 // PipeMare metric names in use (see README "Observability" for the table):
 //   train.staleness.stage<k>    histogram of observed weight delay (tau)
 //   serve.queue_ms / serve.total_ms   request latency histograms
-//   sched.steals / sched.steal_log_dropped / kernels.gemm_dispatch ...
+//   sched.steals / kernels.gemm_dispatch ...
 
 #include <atomic>
 #include <cstdint>

@@ -18,17 +18,16 @@ enum class StealMode {
   /// partition cost model's predicted stage costs and re-ranked between
   /// minibatches from the observed per-stage busy counters. The default.
   LoadAware,
-  /// Fixed victim order (predicted costs only, never re-ranked at runtime)
-  /// plus a per-step steal log, so steal *decisions* are a pure function
-  /// of observable pre-run state. Training curves are bitwise run-to-run
-  /// reproducible in every mode — the engine's numerics are scheduling-
-  /// independent by construction — this mode additionally makes the steal
-  /// policy itself auditable.
+  /// Fixed victim order (predicted costs only, never re-ranked at
+  /// runtime), so the victim ranking is a pure function of observable
+  /// pre-run state. Training curves are bitwise run-to-run reproducible in
+  /// every mode — the engine's numerics are scheduling-independent by
+  /// construction — this mode additionally keeps the steal policy fixed.
   Deterministic,
   /// Stress mode for tests: workers try to steal *before* draining their
-  /// own stages (fixed victim order, logged like Deterministic), which
-  /// maximizes cross-stage execution and is what the bitwise-parity-under-
-  /// stealing tests run.
+  /// own stages (fixed victim order like Deterministic), which maximizes
+  /// cross-stage execution and is what the bitwise-parity-under-stealing
+  /// tests run.
   Forced,
 };
 
@@ -51,15 +50,6 @@ StealMode parse_steal_mode(std::string_view text);
 class StealPolicy {
  public:
   StealPolicy(StealMode mode, std::vector<double> predicted_cost);
-
-  StealMode mode() const { return mode_; }
-  bool steal_enabled() const { return mode_ != StealMode::Disabled; }
-  /// Forced mode: thieves try victims before their own deques.
-  bool steal_first() const { return mode_ == StealMode::Forced; }
-  /// Deterministic and Forced: fixed victim order, steal log on.
-  bool deterministic() const {
-    return mode_ == StealMode::Deterministic || mode_ == StealMode::Forced;
-  }
 
   /// Stage indices, preferred victim first. Stable for a given ranking
   /// input: ties break toward the lower stage index.

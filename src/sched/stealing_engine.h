@@ -17,8 +17,7 @@
 #include "src/pipeline/stage_stats.h"
 #include "src/pipeline/weight_versions.h"
 #include "src/sched/steal_policy.h"
-#include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/task_graph_runner.h"
 #include "src/util/sync.h"
 
 namespace pipemare::sched {
@@ -28,10 +27,8 @@ namespace pipemare::sched {
 /// core::BackendRegistry as "threaded_steal" via core::StealOptions).
 struct StealConfig {
   pipeline::EngineConfig engine;
-  int workers = 0;          ///< worker threads; 0 = min(cores, num_stages)
+  int workers = 0;  ///< worker threads; 0 = min(cores, num_stages)
   StealMode mode = StealMode::LoadAware;
-  bool record_log = false;  ///< keep the per-step steal log (the
-                            ///< deterministic modes log regardless)
 };
 
 /// The "threaded" registry backend: one worker per stage with stealing
@@ -45,16 +42,6 @@ inline StealConfig threaded_config(pipeline::EngineConfig engine) {
   return cfg;
 }
 
-/// One recorded steal: worker `worker` executed a task of stage `stage`
-/// (whose home worker it is not) during optimizer step `step`.
-struct StealRecord {
-  std::int64_t step = 0;
-  int worker = 0;
-  int stage = 0;
-  int micro = 0;
-  Task::Kind kind = Task::Kind::Forward;
-};
-
 /// Work-stealing pipeline-parallel execution (registered with the
 /// core::BackendRegistry as "threaded_steal", and — through
 /// threaded_config — as "threaded"): instead of pinning one
@@ -63,10 +50,10 @@ struct StealRecord {
 /// tasks, and an idle worker steals the oldest ready task from the stage
 /// the StealPolicy ranks busiest (seeded from the partition cost model's
 /// predicted stage costs, re-ranked between minibatches from the observed
-/// per-stage busy counters). Stage s is *home* to worker s mod W; any
-/// other worker executing its tasks is a thief, counted in the
-/// stolen_items / stolen_ns stats and (in the deterministic modes or with
-/// record_log) appended to the steal log.
+/// per-stage busy counters). The TaskGraphRunner schedules (queues, stage s
+/// home to worker s mod W, acquire, wakeups, load counters); this engine
+/// owns the task bodies, the backward-chain gates and the weight versions,
+/// and hands the policy's victim order to the runner before each minibatch.
 ///
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
@@ -144,9 +131,8 @@ class StealingEngine {
   const pipeline::Schedule& schedule() const { return schedule_; }
   const nn::Model& model() const { return model_; }
   const StealConfig& config() const { return cfg_; }
-  const StealPolicy& policy() const { return policy_; }
   std::int64_t steps_taken() const { return store_.step(); }
-  int num_workers() const { return pool_->size(); }
+  int num_workers() const { return runner_->num_workers(); }
 
   std::vector<double> stage_tau_fwd() const {
     return pipeline::stage_tau_fwd_vector(schedule_);
@@ -156,69 +142,30 @@ class StealingEngine {
     return pipeline::stage_lr_segments(partition_, base_lr, scales);
   }
 
-  /// Per-*stage* load counters, cumulative since construction (or the last
-  /// reset): busy/items of the stage's tasks wherever they executed, plus
-  /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// pop_wait is 0 — waiting is a worker-side notion here; see
-  /// worker_stats() (with threaded_config, worker s is stage s). Call
-  /// between minibatches.
-  std::vector<StageStats> stage_stats() const;
-  void reset_stage_stats();
-
-  /// Per-*worker* load counters: busy time, pop_wait_ns = time idle waiting
-  /// for any admissible task, items executed, stolen_items = tasks taken
-  /// from stages the worker is not home to. The busy spread across workers
-  /// is the number stealing actually flattens (per-stage busy is invariant
-  /// under stealing — a stage's compute is its compute wherever it runs).
-  std::vector<StageStats> worker_stats() const;
-
-  /// The steal log (populated in the deterministic modes or when
-  /// cfg.record_log is set; capped — see dropped_log_entries()). Call
-  /// between minibatches; the returned reference stays valid until the
-  /// next forward_backward or clear_steal_log.
-  const std::vector<StealRecord>& steal_log() const;
-  std::uint64_t dropped_log_entries() const;
-  void clear_steal_log();
-
-  /// Total tasks stolen since construction (or the last stats reset).
-  std::uint64_t total_steals() const;
+  /// The runner's per-stage and per-worker load counters (see
+  /// TaskGraphRunner; with threaded_config, worker s is stage s). The busy
+  /// spread across workers is the number stealing actually flattens
+  /// (per-stage busy is invariant under stealing).
+  std::vector<StageStats> stage_stats() const { return runner_->stage_stats(); }
+  std::vector<StageStats> worker_stats() const { return runner_->worker_stats(); }
+  void reset_stage_stats() { runner_->reset_stats(); }
+  std::uint64_t total_steals() const { return runner_->total_steals(); }
 
  private:
   using StageRange = pipeline::StageModuleRange;
 
-  /// Per-stage counters with multi-writer slots (two thieves can execute
-  /// forwards of the same stage concurrently), hence atomics; relaxed
-  /// increments, read between minibatches under the pool barrier.
-  struct AtomicStageCounters {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> items{0};
-    std::atomic<std::uint64_t> stolen_items{0};
-    std::atomic<std::uint64_t> stolen_ns{0};
-  };
-
-  void drain(int worker);
-  /// Fills `out` with the next task for `worker`; `stolen` reports whether
-  /// it came from a stage the worker is not home to.
-  bool acquire(int worker, Task& out, bool& stolen);
-  bool acquire_home(int worker, Task& out);
-  bool acquire_steal(int worker, Task& out, bool& stolen);
-  void execute(int worker, const Task& task, bool stolen, std::vector<float>& w);
-  /// Run one task's compute; returns the busy nanoseconds spent.
-  std::uint64_t run_forward(int worker, const Task& task, std::vector<float>& w);
-  std::uint64_t run_backward(int worker, const Task& task, std::vector<float>& w);
+  /// The runner's task body: one forward or backward of (stage, micro).
+  void execute(int worker, const Task& task);
+  void run_forward(const Task& task, std::vector<float>& w);
+  void run_backward(const Task& task, std::vector<float>& w);
   /// The slice of grads_ a stage's backward accumulates into (the weight
   /// units its modules own, contiguous in the flat layout); empty for a
   /// stage that owns no weight units.
   std::span<float> stage_gradients(const StageRange& r);
-  void enqueue(const Task& task);
   /// Marks Backward(stage, micro)'s gradient input as available and
-  /// enqueues it if its predecessor in the stage's backward chain is done.
+  /// pushes it if its predecessor in the stage's backward chain is done.
   void mark_backward_ready(int stage, int micro);
-  /// Wakes the idle workers that may run a task just pushed onto `stage`.
-  void notify_pushed(int stage);
-  void complete_task();
   void record_failure(const char* what);
-  int home_worker(int stage) const { return stage % pool_->size(); }
 
   const nn::Model& model_;
   StealConfig cfg_;
@@ -229,14 +176,7 @@ class StealingEngine {
   std::vector<float> grads_;
 
   std::vector<StageRange> ranges_;                   ///< per stage
-  std::vector<std::vector<int>> home_stages_;        ///< per worker
-  std::vector<std::unique_ptr<TaskQueue>> queues_;   ///< per stage
   std::vector<std::vector<nn::Cache>> caches_;       ///< per microbatch
-
-  std::unique_ptr<AtomicStageCounters[]> stage_counters_;  ///< per stage
-  /// Per-worker counters: single-writer slots (each worker writes only its
-  /// own), read between minibatches under the pool barrier — plain fields.
-  std::vector<StageStats> worker_stats_;
 
   // Per-minibatch context, owned by forward_backward for the duration of
   // one generation; workers read it between the pool barriers.
@@ -251,26 +191,16 @@ class StealingEngine {
   /// non-finite gradient (single writer, read after the minibatch barrier)
   std::vector<std::uint8_t> grads_finite_;
   std::atomic<bool> mb_failed_{false};
-  std::string mb_error_ GUARDED_BY(sched_m_);  ///< first worker exception
 
-  // Scheduler state: remaining task count, push notification version, and
-  // the backward-chain gates, all GUARDED_BY(sched_m_) — a Clang
-  // -Wthread-safety build proves the gating protocol never touches them
-  // unlocked. Lock order is sched_m_ -> TaskQueue::m_
-  // (enqueue-while-gating); TaskQueue ops never take sched_m_.
-  mutable util::Mutex sched_m_;
-  util::CondVar sched_cv_;  ///< idle workers wait here when stealing is on
-  /// Per worker, when stealing is off: only a stage's home worker may run
-  /// its tasks, so a push wakes that one worker instead of all W (with
-  /// W = P > cores, waking every worker per push costs more than the work).
-  std::unique_ptr<util::CondVar[]> home_cv_;
-  int remaining_ GUARDED_BY(sched_m_) = 0;
-  std::uint64_t push_version_ GUARDED_BY(sched_m_) = 0;
-  std::vector<int> next_bwd_ GUARDED_BY(sched_m_);      ///< per stage: next micro
-  std::vector<std::uint8_t> bwd_ready_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
+  // The backward-chain gates and the failure record, GUARDED_BY(gate_m_)
+  // — a Clang -Wthread-safety build proves the gating protocol never
+  // touches them unlocked. Lock order: gate_m_ -> the runner's mutex ->
+  // TaskQueue mutex (see TaskGraphRunner).
+  mutable util::Mutex gate_m_;
+  std::string mb_error_ GUARDED_BY(gate_m_);  ///< first worker exception
+  std::vector<int> next_bwd_ GUARDED_BY(gate_m_);      ///< per stage: next micro
+  std::vector<std::uint8_t> bwd_ready_ GUARDED_BY(gate_m_);  ///< [stage*N+micro]
 
-  std::vector<StealRecord> steal_log_ GUARDED_BY(sched_m_);
-  std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;
   /// Per worker: the weight views' fallback buffer. Most tasks read
   /// their weights in place (a ring slot, the live weights or the T2
   /// backward weights); only a mixed-version stage (split_bias) or
@@ -278,7 +208,7 @@ class StealingEngine {
   /// that first use.
   std::vector<std::vector<float>> scratch_;
 
-  std::unique_ptr<WorkerPool> pool_;  ///< last member: joins before teardown
+  std::unique_ptr<TaskGraphRunner> runner_;  ///< last member: joins first
 };
 
 }  // namespace pipemare::sched

@@ -1,5 +1,7 @@
 #include "src/sched/worker_pool.h"
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -7,6 +9,18 @@
 #include "src/obs/trace.h"
 
 namespace pipemare::sched {
+
+int resolve_workers(int requested, int parallelism) {
+  if (requested < 0 || requested > kMaxWorkers) {
+    throw std::invalid_argument("resolve_workers: " + std::to_string(requested) +
+                                " workers requested; must be in [0, " +
+                                std::to_string(kMaxWorkers) + "] (0 = auto)");
+  }
+  if (requested > 0) return requested;
+  auto cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores <= 0) cores = 2;
+  return std::max(1, std::min(cores, parallelism));
+}
 
 WorkerPool::WorkerPool(int workers, Body body) : body_(std::move(body)) {
   threads_.reserve(static_cast<std::size_t>(workers));

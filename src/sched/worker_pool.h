@@ -9,6 +9,16 @@
 
 namespace pipemare::sched {
 
+/// Upper bound on any requested worker count. Worker counts come from
+/// outside input (--workers, --serve-workers, ServeConfig::workers), and
+/// each worker is an OS thread; the largest in-tree caller uses 8.
+inline constexpr int kMaxWorkers = 256;
+
+/// The one worker-count resolver of the pool's owners: `requested` > 0 is
+/// taken as is, 0 means min(hardware cores, `parallelism`), at least 1.
+/// Throws std::invalid_argument unless 0 <= requested <= kMaxWorkers.
+int resolve_workers(int requested, int parallelism);
+
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies

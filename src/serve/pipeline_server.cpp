@@ -4,18 +4,14 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/stats.h"
 
 namespace pipemare::serve {
 
 namespace {
-
-using util::ns_between;
 
 // Registry-owned serve metrics, resolved once per process (the registry
 // lookup is string-keyed; the hot path then pays one relaxed atomic op).
@@ -50,36 +46,16 @@ ServeMetrics& serve_metrics() {
   return m;
 }
 
-int resolve_worker_count(const ServeConfig& cfg) {
-  if (cfg.workers > 0) return cfg.workers;
-  auto cores = static_cast<int>(std::thread::hardware_concurrency());
-  if (cores <= 0) cores = 2;
-  return std::max(1, std::min(cores, cfg.num_stages));
-}
-
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-pipeline::StageStats snapshot(const std::atomic<std::uint64_t>& busy_ns,
-                              const std::atomic<std::uint64_t>& pop_wait_ns,
-                              const std::atomic<std::uint64_t>& items,
-                              const std::atomic<std::uint64_t>& stolen_items,
-                              const std::atomic<std::uint64_t>& stolen_ns) {
-  pipeline::StageStats s;
-  s.busy_ns = busy_ns.load(std::memory_order_relaxed);
-  s.pop_wait_ns = pop_wait_ns.load(std::memory_order_relaxed);
-  s.items = items.load(std::memory_order_relaxed);
-  s.stolen_items = stolen_items.load(std::memory_order_relaxed);
-  s.stolen_ns = stolen_ns.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace
 
 void validate_serve_config(const ServeConfig& cfg, const nn::Model* model) {
-  if (cfg.workers < 0) {
-    throw std::invalid_argument("serve: workers must be >= 0 (0 = auto)");
+  if (cfg.workers < 0 || cfg.workers > sched::kMaxWorkers) {
+    throw std::invalid_argument("serve: workers must be in [0, " +
+                                std::to_string(sched::kMaxWorkers) + "] (0 = auto)");
   }
   if (cfg.queue_capacity < 1) {
     throw std::invalid_argument("serve: queue_capacity must be >= 1");
@@ -106,29 +82,28 @@ PipelineServer::PipelineServer(const nn::Model& model, ModelCheckpoint ckpt,
                                ServeConfig cfg)
     : model_(model),
       cfg_(validated(std::move(cfg), &model)),
+      partition_(pipeline::make_partition(model, cfg_.num_stages, cfg_.split_bias,
+                                          cfg_.partition)),
+      ranges_(pipeline::stage_module_ranges(partition_)),
       scheduler_(cfg_.batch),
       queue_(cfg_.queue_capacity) {
   ckpt.validate_against(model);
   weights_ = std::move(ckpt.weights);
-  partition_ = pipeline::make_partition(model, cfg_.num_stages, cfg_.split_bias,
-                                        cfg_.partition);
-  ranges_ = pipeline::stage_module_ranges(partition_);
-
   const int p = cfg_.num_stages;
-  queues_.reserve(static_cast<std::size_t>(p));
-  for (int s = 0; s < p; ++s) queues_.push_back(std::make_unique<sched::TaskQueue>());
-  stage_counters_ = std::make_unique<AtomicCounters[]>(static_cast<std::size_t>(p));
-
   const int nslots = cfg_.slots > 0 ? cfg_.slots : p + 1;
   slots_.resize(static_cast<std::size_t>(nslots));
   for (auto& slot : slots_) slot.caches = model_.make_caches();
   slot_busy_.assign(static_cast<std::size_t>(nslots), 0);
-
-  const int w = resolve_worker_count(cfg_);
-  worker_counters_ = std::make_unique<AtomicCounters[]>(static_cast<std::size_t>(w));
-  // Last: once the pool exists its threads may call back into worker_loop.
-  pool_ = std::make_unique<sched::WorkerPool>(
-      w, [this](int worker) { worker_loop(worker); });
+  // Last: once the runner exists its workers may call back into execute and
+  // admit. Home stages first, then steal deepest first: finishing in-flight
+  // microbatches frees slots (and completes requests) before new work starts.
+  runner_ = std::make_unique<sched::TaskGraphRunner>(
+      p, sched::resolve_workers(cfg_.workers, p), sched::StealMode::Deterministic,
+      [this](int /*worker*/, const sched::Task& task) { execute(task); },
+      [this](int /*worker*/) { return admit(); });
+  std::vector<int> deepest_first(static_cast<std::size_t>(p));
+  for (int s = 0; s < p; ++s) deepest_first[static_cast<std::size_t>(s)] = p - 1 - s;
+  runner_->set_victim_order(deepest_first);
 }
 
 PipelineServer::~PipelineServer() { stop(); }
@@ -143,7 +118,7 @@ void PipelineServer::start() {
   // still parked, satisfying the recorder's quiescence contract) and
   // exported in stop() after the pool parks again.
   if (!cfg_.trace_path.empty()) obs::TraceRecorder::instance().enable();
-  pool_->begin_generation();
+  runner_->open_generation();
 }
 
 void PipelineServer::stop() {
@@ -154,11 +129,10 @@ void PipelineServer::stop() {
     stopped_ = true;
     stopping_ = true;
     queue_.close();
-    ++push_version_;
     wait = started_;
   }
-  cv_.notify_all();
-  if (wait) pool_->wait_generation();
+  runner_->notify_all();
+  if (wait) runner_->wait_generation();
   if (!cfg_.trace_path.empty()) {
     obs::TraceRecorder::instance().disable();
     obs::write_chrome_trace(cfg_.trace_path);
@@ -210,7 +184,6 @@ TicketPtr PipelineServer::submit_with_deadline(nn::Flow input,
     } else {
       switch (queue_.try_push(std::move(req))) {
         case RequestQueue::Admit::Ok:
-          ++push_version_;
           break;
         case RequestQueue::Admit::Full:
           ++counters_.rejected_full;
@@ -225,7 +198,7 @@ TicketPtr PipelineServer::submit_with_deadline(nn::Flow input,
   }
   if (reject == Status::Ok) {
     obs::instant("enqueue", "serve", -1, -1, static_cast<std::int64_t>(id));
-    cv_.notify_all();
+    runner_->notify_all();
   } else {
     serve_metrics().rejected.add();
     Response r;
@@ -235,113 +208,26 @@ TicketPtr PipelineServer::submit_with_deadline(nn::Flow input,
   return ticket;
 }
 
-void PipelineServer::worker_loop(int worker) {
-  AtomicCounters& wc = worker_counters_[static_cast<std::size_t>(worker)];
-  for (;;) {
-    std::uint64_t version;
-    {
-      util::MutexLock lock(m_);
-      version = push_version_;
-      if (stopping_ && active_slots_ == 0 && queue_.size() == 0) return;
-    }
-
-    sched::Task task;
-    bool stolen = false;
-    if (acquire(worker, task, stolen)) {
-      execute(worker, task, stolen);
-      continue;
-    }
-
-    Clock::duration recheck = Clock::duration::max();
-    if (try_admit(recheck)) continue;
-
-    // Nothing ready and no batch to form: park until a push/submit/slot
-    // free bumps push_version_, bounded by the nearest timer (fixed-policy
-    // flush or request deadline). The version recorded *before* the scans
-    // closes the missed-wakeup window.
-    const auto wait_start = Clock::now();
-    {
-      util::MutexLock lock(m_);
-      if (push_version_ == version) {
-        if (recheck == Clock::duration::max()) {
-          cv_.wait(m_);
-        } else if (recheck > Clock::duration::zero()) {
-          cv_.wait_for(m_, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               recheck));
-        }
-      }
-    }
-    wc.pop_wait_ns.fetch_add(ns_between(wait_start, Clock::now()),
-                             std::memory_order_relaxed);
-  }
-}
-
-bool PipelineServer::acquire(int worker, sched::Task& out, bool& stolen) {
-  const int p = static_cast<int>(queues_.size());
-  const int w = pool_->size();
-  // Home stages first (stage s is home to worker s mod W) ...
-  for (int s = worker; s < p; s += w) {
-    if (queues_[static_cast<std::size_t>(s)]->pop(out)) {
-      stolen = false;
-      return true;
-    }
-  }
-  // ... then steal, deepest stage first: finishing in-flight microbatches
-  // frees slots (and completes requests) before new work is started.
-  for (int s = p - 1; s >= 0; --s) {
-    if (home_worker(s) == worker) continue;
-    if (queues_[static_cast<std::size_t>(s)]->steal(out)) {
-      stolen = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void PipelineServer::execute(int worker, const sched::Task& task, bool stolen) {
+void PipelineServer::execute(const sched::Task& task) {
   const int stage = task.stage;
   const int slot = task.micro;
   Slot& s = slots_[static_cast<std::size_t>(slot)];
   const pipeline::StageModuleRange& range = ranges_[static_cast<std::size_t>(stage)];
 
-  const auto t0 = Clock::now();
   obs::Span span("stage", "serve", stage, slot);
-  bool ok = true;
-  std::string error;
   try {
     s.flow = model_.forward_range(range.module_first, range.module_last,
                                   std::move(s.flow), weights_, s.caches);
   } catch (const std::exception& e) {
-    ok = false;
-    error = std::string("serve worker failed at stage ") +
-            std::to_string(stage) + ": " + e.what();
-  }
-  const std::uint64_t ns = ns_between(t0, Clock::now());
-
-  AtomicCounters& sc = stage_counters_[static_cast<std::size_t>(stage)];
-  AtomicCounters& wc = worker_counters_[static_cast<std::size_t>(worker)];
-  sc.busy_ns.fetch_add(ns, std::memory_order_relaxed);
-  sc.items.fetch_add(1, std::memory_order_relaxed);
-  wc.busy_ns.fetch_add(ns, std::memory_order_relaxed);
-  wc.items.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) {
-    sc.stolen_items.fetch_add(1, std::memory_order_relaxed);
-    sc.stolen_ns.fetch_add(ns, std::memory_order_relaxed);
-    wc.stolen_items.fetch_add(1, std::memory_order_relaxed);
-    wc.stolen_ns.fetch_add(ns, std::memory_order_relaxed);
-  }
-
-  if (!ok) {
     Response base;
     base.status = Status::Error;
-    base.error = std::move(error);
+    base.error = std::string("serve worker failed at stage ") +
+                 std::to_string(stage) + ": " + e.what();
     complete_slot(slot, base, nullptr);
     return;
   }
-  if (stage + 1 < static_cast<int>(queues_.size())) {
-    queues_[static_cast<std::size_t>(stage) + 1]->push(
-        {sched::Task::Kind::Forward, stage + 1, slot});
-    bump_version();
+  if (stage + 1 < cfg_.num_stages) {
+    runner_->push({sched::Task::Kind::Forward, stage + 1, slot});
   } else {
     Response base;  // Status::Ok
     complete_slot(slot, base, &s.flow.x);
@@ -401,12 +287,11 @@ void PipelineServer::complete_slot(int slot, const Response& base,
     } else {
       counters_.errors += static_cast<std::uint64_t>(nreq);
     }
-    ++push_version_;
   }
-  cv_.notify_all();
+  runner_->notify_all();
 }
 
-bool PipelineServer::try_admit(Clock::duration& recheck) {
+Clock::duration PipelineServer::admit() {
   const auto now = Clock::now();
   util::MutexLock lock(m_);
 
@@ -428,7 +313,12 @@ bool PipelineServer::try_admit(Clock::duration& recheck) {
   }
 
   const std::size_t queued = queue_.size();
-  if (queued == 0) return false;
+  if (queued == 0) {
+    // stop() closed admission and every in-flight slot has completed: no
+    // task is queued or running, so the serving generation can end.
+    if (stopping_ && active_slots_ == 0) runner_->close();
+    return Clock::duration::max();
+  }
 
   Clock::time_point oldest;
   queue_.oldest_enqueue(oldest);
@@ -446,20 +336,23 @@ bool PipelineServer::try_admit(Clock::duration& recheck) {
   if (d.admit == 0 || slot < 0) {
     // Bound the caller's sleep by the nearest timer: the fixed-policy
     // flush deadline and/or the earliest request deadline. A freed slot
-    // bumps push_version_, so "no slot" needs no timer of its own.
+    // wakes every worker, so "no slot" needs no timer of its own.
+    Clock::duration recheck = Clock::duration::max();
     if (d.admit == 0) recheck = std::min(recheck, d.recheck);
     Clock::time_point dl;
     if (queue_.earliest_deadline(dl)) {
       recheck = std::min(recheck, Clock::duration(dl - now));
     }
-    return false;
+    return recheck;
   }
 
   // Pop the FIFO prefix of requests batch-compatible with the front.
   std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(d.admit));
   Request first;
-  if (!queue_.pop_if([](const Request&) { return true; }, first)) return false;
+  if (!queue_.pop_if([](const Request&) { return true; }, first)) {
+    return Clock::duration::max();
+  }
   batch.push_back(std::move(first));
   while (static_cast<int>(batch.size()) < d.admit) {
     const nn::Flow& head = batch.front().input;
@@ -488,63 +381,13 @@ bool PipelineServer::try_admit(Clock::duration& recheck) {
   serve_metrics().batches.add();
   obs::instant("admit", "serve", -1, slot,
                static_cast<std::int64_t>(s.requests.front().id));
-  queues_[0]->push({sched::Task::Kind::Forward, 0, slot});
-  ++push_version_;
-  cv_.notify_all();
-  return true;
-}
-
-void PipelineServer::bump_version() {
-  {
-    util::MutexLock lock(m_);
-    ++push_version_;
-  }
-  cv_.notify_all();
+  runner_->push({sched::Task::Kind::Forward, 0, slot});
+  return Clock::duration::zero();
 }
 
 ServeCounters PipelineServer::counters() const {
   util::MutexLock lock(m_);
   return counters_;
-}
-
-std::vector<pipeline::StageStats> PipelineServer::stage_stats() const {
-  std::vector<pipeline::StageStats> out;
-  const std::size_t p = queues_.size();
-  out.reserve(p);
-  for (std::size_t s = 0; s < p; ++s) {
-    const AtomicCounters& c = stage_counters_[s];
-    pipeline::StageStats st =
-        snapshot(c.busy_ns, c.pop_wait_ns, c.items, c.stolen_items, c.stolen_ns);
-    st.pop_wait_ns = 0;  // waiting is a worker-side notion; see worker_stats()
-    out.push_back(st);
-  }
-  return out;
-}
-
-std::vector<pipeline::StageStats> PipelineServer::worker_stats() const {
-  std::vector<pipeline::StageStats> out;
-  const std::size_t w = static_cast<std::size_t>(pool_->size());
-  out.reserve(w);
-  for (std::size_t i = 0; i < w; ++i) {
-    const AtomicCounters& c = worker_counters_[i];
-    out.push_back(
-        snapshot(c.busy_ns, c.pop_wait_ns, c.items, c.stolen_items, c.stolen_ns));
-  }
-  return out;
-}
-
-void PipelineServer::reset_stage_stats() {
-  const auto clear = [](AtomicCounters& c) {
-    c.busy_ns.store(0, std::memory_order_relaxed);
-    c.pop_wait_ns.store(0, std::memory_order_relaxed);
-    c.items.store(0, std::memory_order_relaxed);
-    c.stolen_items.store(0, std::memory_order_relaxed);
-    c.stolen_ns.store(0, std::memory_order_relaxed);
-  };
-  for (std::size_t s = 0; s < queues_.size(); ++s) clear(stage_counters_[s]);
-  for (int i = 0; i < pool_->size(); ++i) {
-    clear(worker_counters_[static_cast<std::size_t>(i)]);
-  }
 }
 
 }  // namespace pipemare::serve

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,8 +8,7 @@
 #include "src/nn/model.h"
 #include "src/pipeline/partition.h"
 #include "src/pipeline/stage_stats.h"
-#include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/task_graph_runner.h"
 #include "src/serve/batch_scheduler.h"
 #include "src/serve/checkpoint.h"
 #include "src/serve/request_queue.h"
@@ -56,12 +54,12 @@ struct ServeCounters {
 /// stages by the same graph-linearized pipeline::Partition the training
 /// engines use, each in-flight microbatch occupies one *slot* (its
 /// activation Flow plus per-module caches), and running stage s of slot m
-/// is one sched::Task{Forward, s, m} in the per-stage TaskQueue deques. A
-/// sched::WorkerPool of W workers (one long generation per serving
-/// session) drains the queues exactly like the training engine: stage s is
-/// *home* to worker s mod W, idle workers steal the oldest ready task from
-/// other stages (deepest stage first, to drain in-flight batches), and
-/// non-home execution is counted in the stolen_items / stolen_ns stats.
+/// is one sched::Task{Forward, s, m}. The tasks run on the training
+/// engine's scheduler, a sched::TaskGraphRunner of W workers with one open
+/// generation per serving session: stage s is *home* to worker s mod W,
+/// idle workers steal the oldest ready task from other stages (deepest
+/// stage first, to drain in-flight batches), and non-home execution is
+/// counted in the stolen_items / stolen_ns stats.
 /// There is no weight-version protocol to preserve — inference reads one
 /// frozen checkpoint — which is precisely why serving needs no staleness
 /// machinery and W can be anything.
@@ -69,7 +67,8 @@ struct ServeCounters {
 /// Admission. Clients call submit() from any thread; requests land in a
 /// bounded RequestQueue (Full => an immediate RejectedQueueFull response —
 /// backpressure is an explicit error, never an unbounded stall). A worker
-/// with no ready task performs *admission* under the server mutex: expire
+/// with no ready task performs *admission* — the runner's idle step —
+/// under the server mutex: expire
 /// timed-out requests, ask the BatchScheduler whether to form a batch now
 /// (continuous: whenever a slot is free; fixed: when max_batch are queued
 /// or the oldest has waited max_wait_ms), pop the FIFO prefix of
@@ -88,12 +87,12 @@ struct ServeCounters {
 /// across the whole grid; it is the serving analogue of the training
 /// engines' bitwise-parity invariant.
 ///
-/// Concurrency contracts. All scheduler state (slot occupancy, counters,
-/// stop flag, push-notification version) is GUARDED_BY(m_); slot payloads
-/// (flow, caches, request list) are owner-accessed — exactly one worker
-/// holds a slot's task at a time, and handoff happens-before through the
-/// TaskQueue mutex. Lock order: m_ -> (RequestQueue | TaskQueue | Ticket)
-/// internal mutexes; those never take m_.
+/// Concurrency contracts. All serving state (slot occupancy, counters,
+/// stop flag) is GUARDED_BY(m_); slot payloads (flow, caches, request
+/// list) are owner-accessed — exactly one worker holds a slot's task at a
+/// time, and handoff happens-before through the TaskQueue mutex. Lock
+/// order: m_ -> (RequestQueue | runner -> TaskQueue | Ticket) internal
+/// mutexes; those never take m_.
 class PipelineServer {
  public:
   /// Validates the checkpoint against the model (shape digest + parameter
@@ -124,25 +123,19 @@ class PipelineServer {
 
   ServeCounters counters() const;
 
-  /// Per-*stage* load counters (cumulative since construction or the last
-  /// reset): busy/items of the stage's tasks wherever they executed, plus
-  /// stolen_items / stolen_ns for the share executed by non-home workers.
-  /// Same shape as the training engines' stage_stats(), so the
-  /// StageLoadObserver carries over unchanged. Safe to call while serving
-  /// (relaxed-atomic counters — transient skew, no torn values).
-  std::vector<pipeline::StageStats> stage_stats() const;
-
-  /// Per-*worker* load counters: busy, pop_wait_ns = time idle waiting for
-  /// work or admission, items, stolen share.
-  std::vector<pipeline::StageStats> worker_stats() const;
-
-  void reset_stage_stats();
+  /// The runner's per-stage and per-worker load counters, the same ones
+  /// the training engine reports (so the StageLoadObserver carries over);
+  /// a worker's pop_wait_ns includes waiting for admission. Safe to call
+  /// while serving (relaxed atomics: transient skew, no torn values).
+  std::vector<pipeline::StageStats> stage_stats() const { return runner_->stage_stats(); }
+  std::vector<pipeline::StageStats> worker_stats() const { return runner_->worker_stats(); }
+  void reset_stage_stats() { runner_->reset_stats(); }
 
   const pipeline::Partition& partition() const { return partition_; }
   const ServeConfig& config() const { return cfg_; }
   const nn::Model& model() const { return model_; }
   std::span<const float> weights() const { return weights_; }
-  int num_workers() const { return pool_->size(); }
+  int num_workers() const { return runner_->num_workers(); }
   int num_slots() const { return static_cast<int>(slots_.size()); }
 
  private:
@@ -158,29 +151,17 @@ class PipelineServer {
     Clock::time_point formed{};
   };
 
-  /// Multi-writer per-slot counters (thieves of the same stage may run
-  /// concurrently), hence relaxed atomics; see StealingEngine.
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> pop_wait_ns{0};
-    std::atomic<std::uint64_t> items{0};
-    std::atomic<std::uint64_t> stolen_items{0};
-    std::atomic<std::uint64_t> stolen_ns{0};
-  };
-
   TicketPtr submit_with_deadline(nn::Flow input, Clock::time_point deadline);
-  void worker_loop(int worker);
-  bool acquire(int worker, sched::Task& out, bool& stolen);
-  void execute(int worker, const sched::Task& task, bool stolen);
+  /// The runner's task body: stage `task.stage` of slot `task.micro`.
+  void execute(const sched::Task& task);
   /// Completes every ticket of `slot` with `base` (output/metrics filled
   /// per request for Ok) and frees the slot.
   void complete_slot(int slot, const Response& base, const tensor::Tensor* output);
-  /// Attempts one admission round; returns true if a batch was dispatched.
-  /// On false, `recheck` is how long the caller may sleep before a timer
-  /// (batch flush or request deadline) needs another round.
-  bool try_admit(Clock::duration& recheck);
-  void bump_version();
-  int home_worker(int stage) const { return stage % pool_->size(); }
+  /// The runner's idle step: one admission round. Returns zero if a batch
+  /// was dispatched, else how long the worker may sleep before a timer
+  /// (batch flush or request deadline) needs another round. Closes the
+  /// runner's generation once stop() has drained every request.
+  Clock::duration admit();
 
   const nn::Model& model_;
   ServeConfig cfg_;
@@ -190,24 +171,18 @@ class PipelineServer {
   BatchScheduler scheduler_;
 
   RequestQueue queue_;
-  std::vector<std::unique_ptr<sched::TaskQueue>> queues_;  ///< per stage
   std::vector<Slot> slots_;
 
-  std::unique_ptr<AtomicCounters[]> stage_counters_;   ///< per stage
-  std::unique_ptr<AtomicCounters[]> worker_counters_;  ///< per worker
-
   mutable util::Mutex m_;
-  util::CondVar cv_;
   std::vector<std::uint8_t> slot_busy_ GUARDED_BY(m_);
   int active_slots_ GUARDED_BY(m_) = 0;
-  std::uint64_t push_version_ GUARDED_BY(m_) = 0;
   std::uint64_t next_id_ GUARDED_BY(m_) = 0;
   bool started_ GUARDED_BY(m_) = false;
   bool stopping_ GUARDED_BY(m_) = false;
   bool stopped_ GUARDED_BY(m_) = false;
   ServeCounters counters_ GUARDED_BY(m_);
 
-  std::unique_ptr<sched::WorkerPool> pool_;  ///< last member: parks before teardown
+  std::unique_ptr<sched::TaskGraphRunner> runner_;  ///< last member: parks first
 };
 
 }  // namespace pipemare::serve

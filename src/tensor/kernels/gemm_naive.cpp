@@ -64,13 +64,12 @@ void naive_relu_inplace(float* a, std::int64_t count) {
 }
 
 // The unfused oracle for the fused epilogue: full GEMM pass, then a bias
-// pass, then a ReLU pass — the exact op sequence nn::Linear ran before
-// fusion, so tiled-fused must match it bitwise.
+// pass — the exact op sequence nn::Linear ran before fusion, so
+// tiled-fused must match it bitwise.
 void naive_gemm_nt_bias(const float* a, const float* b, const float* bias,
-                        float* c, int m, int k, int n, bool relu) {
+                        float* c, int m, int k, int n) {
   naive_gemm_nt(a, b, c, m, k, n);
   naive_add_row_inplace(c, bias, m, n);
-  if (relu) naive_relu_inplace(c, static_cast<std::int64_t>(m) * n);
 }
 
 void naive_transpose2d(const float* a, float* t, int m, int n) {

@@ -39,8 +39,7 @@ class LanePool {
 
 }  // namespace
 
-void parallel_rows(int m, double flops,
-                   const std::function<void(int i0, int i1)>& fn) {
+void split_rows(int m, double flops, const std::function<void(int i0, int i1)>& fn) {
   int lanes = KernelRegistry::lanes();
   if (lanes > m) lanes = m;
   if (lanes <= 1 ||

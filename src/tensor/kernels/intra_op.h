@@ -2,7 +2,11 @@
 
 #include <functional>
 
+#include "src/tensor/kernels/registry.h"
+
 namespace pipemare::tensor::kernels {
+
+void split_rows(int m, double flops, const std::function<void(int i0, int i1)>& fn);
 
 /// Intra-op parallelism: splits the rows [0, m) of a GEMM output into
 /// contiguous per-lane ranges and runs `fn(i0, i1)` on each lane, lane 0
@@ -17,8 +21,15 @@ namespace pipemare::tensor::kernels {
 /// K lanes (W×K threads) without sharing any lane state across stages.
 /// Row ranges are disjoint and every output element keeps its sequential
 /// accumulation order, so any lane count produces bitwise-identical
-/// results.
-void parallel_rows(int m, double flops,
-                   const std::function<void(int i0, int i1)>& fn);
+/// results. With lanes off, fn runs inline and unwrapped (split_rows
+/// takes the std::function), so a GEMM allocates nothing to dispatch.
+template <class Fn>
+void parallel_rows(int m, double flops, const Fn& fn) {
+  if (KernelRegistry::lanes() <= 1) {
+    fn(0, m);
+  } else {
+    split_rows(m, flops, fn);
+  }
+}
 
 }  // namespace pipemare::tensor::kernels

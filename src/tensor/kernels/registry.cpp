@@ -61,16 +61,11 @@ void init_from_env_once() {
 // bias epilogue, an independent per-element add), so vectorizing it cannot
 // reorder any accumulation chain — bitwise-safe by construction.
 
-void bias_rows(float* c, const float* bias, int i0, int i1, int n,
-               bool relu) {
+void bias_rows(float* c, const float* bias, int i0, int i1, int n) {
   for (int i = i0; i < i1; ++i) {
     float* crow = c + static_cast<std::size_t>(i) * n;
     PIPEMARE_SIMD
     for (int j = 0; j < n; ++j) crow[j] += bias[j];
-    if (relu) {
-      PIPEMARE_SIMD
-      for (int j = 0; j < n; ++j) crow[j] = std::max(0.0F, crow[j]);
-    }
   }
 }
 
@@ -166,14 +161,14 @@ void tiled_gemm_tn(const float* a, const float* b, float* c, int m, int k,
 
 // Shared nt body: pack B^T once to [k,n] (pure data movement, so the
 // packed run reads the same values in the same ascending-k order as the
-// naive dot) and reuse the nn row kernel; the fused bias(+ReLU) epilogue
+// naive dot) and reuse the nn row kernel; the fused bias epilogue
 // runs per lane right after its rows are produced, while they are hot.
 void tiled_gemm_nt_body(const float* a, const float* b, const float* bias,
-                        float* c, int m, int k, int n, bool relu) {
+                        float* c, int m, int k, int n) {
   const TiledFns* fns = tiled_fns();
   if (m < kNtPackMinRows) {
     fns->gemm_nt_rows(a, b, c, 0, m, k, n);
-    if (bias != nullptr) bias_rows(c, bias, 0, m, n, relu);
+    if (bias != nullptr) bias_rows(c, bias, 0, m, n);
     return;
   }
   std::vector<float> bt(static_cast<std::size_t>(k) * n);
@@ -182,18 +177,18 @@ void tiled_gemm_nt_body(const float* a, const float* b, const float* bias,
   parallel_rows(m, flops, [&](int i0, int i1) {
     fns->gemm_rows(a, static_cast<std::size_t>(k), 1, bt.data(), c, i0, i1, k,
                    n);
-    if (bias != nullptr) bias_rows(c, bias, i0, i1, n, relu);
+    if (bias != nullptr) bias_rows(c, bias, i0, i1, n);
   });
 }
 
 void tiled_gemm_nt(const float* a, const float* b, float* c, int m, int k,
                    int n) {
-  tiled_gemm_nt_body(a, b, nullptr, c, m, k, n, false);
+  tiled_gemm_nt_body(a, b, nullptr, c, m, k, n);
 }
 
 void tiled_gemm_nt_bias(const float* a, const float* b, const float* bias,
-                        float* c, int m, int k, int n, bool relu) {
-  tiled_gemm_nt_body(a, b, bias, c, m, k, n, relu);
+                        float* c, int m, int k, int n) {
+  tiled_gemm_nt_body(a, b, bias, c, m, k, n);
 }
 
 void tiled_transpose2d_entry(const float* a, float* t, int m, int n) {

@@ -31,10 +31,10 @@ struct KernelTable {
   /// C[m,n] = A[m,k] * B[n,k]^T.
   void (*gemm_nt)(const float* a, const float* b, float* c, int m, int k,
                   int n);
-  /// C[m,n] = A[m,k] * B[n,k]^T + bias[n] (broadcast over rows), then
-  /// optionally ReLU — the fused Linear-forward epilogue.
+  /// C[m,n] = A[m,k] * B[n,k]^T + bias[n] (broadcast over rows) — the
+  /// fused Linear-forward epilogue.
   void (*gemm_nt_bias)(const float* a, const float* b, const float* bias,
-                       float* c, int m, int k, int n, bool relu);
+                       float* c, int m, int k, int n);
 
   /// T[n,m] = A[m,n]^T.
   void (*transpose2d)(const float* a, float* t, int m, int n);

@@ -31,20 +31,6 @@ void count_gemm() {
   c.add();
 }
 
-Tensor gemm_nt_bias_dispatch(const Tensor& a, const Tensor& b,
-                             std::span<const float> bias, bool relu) {
-  require(a.rank() == 2 && b.rank() == 2, "matmul_nt_bias: rank-2 tensors required");
-  int m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  require(b.dim(1) == k, "matmul_nt_bias: inner dimension mismatch");
-  require(static_cast<int>(bias.size()) == n,
-          "matmul_nt_bias: bias size mismatch");
-  Tensor c({m, n});
-  count_gemm();
-  KernelRegistry::table().gemm_nt_bias(a.data(), b.data(), bias.data(),
-                                       c.data(), m, k, n, relu);
-  return c;
-}
-
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -79,12 +65,16 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 
 Tensor matmul_nt_bias(const Tensor& a, const Tensor& b,
                       std::span<const float> bias) {
-  return gemm_nt_bias_dispatch(a, b, bias, false);
-}
-
-Tensor matmul_nt_bias_relu(const Tensor& a, const Tensor& b,
-                           std::span<const float> bias) {
-  return gemm_nt_bias_dispatch(a, b, bias, true);
+  require(a.rank() == 2 && b.rank() == 2, "matmul_nt_bias: rank-2 tensors required");
+  int m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  require(b.dim(1) == k, "matmul_nt_bias: inner dimension mismatch");
+  require(static_cast<int>(bias.size()) == n,
+          "matmul_nt_bias: bias size mismatch");
+  Tensor c({m, n});
+  count_gemm();
+  KernelRegistry::table().gemm_nt_bias(a.data(), b.data(), bias.data(),
+                                       c.data(), m, k, n);
+  return c;
 }
 
 Tensor transpose2d(const Tensor& a) {

@@ -26,11 +26,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor matmul_nt_bias(const Tensor& a, const Tensor& b,
                       std::span<const float> bias);
 
-/// matmul_nt_bias followed by ReLU in the same pass — the epilogue hook
-/// for fusing a Linear+ReLU pair. Bitwise-equal to matmul_nt_bias + relu.
-Tensor matmul_nt_bias_relu(const Tensor& a, const Tensor& b,
-                           std::span<const float> bias);
-
 /// B[n,m] = A[m,n]^T.
 Tensor transpose2d(const Tensor& a);
 

@@ -15,6 +15,7 @@
 #include "src/core/trainer.h"
 #include "src/hogwild/hogwild.h"
 #include "src/pipeline/partition.h"
+#include "src/sched/worker_pool.h"
 #include "src/util/cli.h"
 
 namespace pipemare::core {
@@ -190,6 +191,36 @@ TEST(BackendRegistry, ValidateIsTheSingleHogwildValidationPath) {
   BackendRegistry::instance().validate(BackendConfig{"hogwild"}, engine);
 }
 
+TEST(BackendRegistry, ValidateRejectsWorkerCountsAboveTheLimit) {
+  // --workers is outside input and each worker is an OS thread: counts past
+  // sched::kMaxWorkers are rejected at validation, naming the field, before
+  // any pool exists. Only validators run here — nothing spawns threads.
+  pipeline::EngineConfig engine;
+  engine.num_stages = 4;
+  engine.num_microbatches = 4;
+  auto expect_rejected = [&](const BackendConfig& b) {
+    try {
+      BackendRegistry::instance().validate(b, engine);
+      ADD_FAILURE() << b.name << " accepted an over-limit worker count";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos) << e.what();
+    }
+  };
+  StealOptions steal;
+  steal.workers = sched::kMaxWorkers + 1;
+  expect_rejected(BackendConfig{"threaded_steal", steal});
+  steal.workers = 1000000;
+  expect_rejected(BackendConfig{"threaded_steal", steal});
+  ThreadedHogwildOptions hog;
+  hog.workers = sched::kMaxWorkers + 1;
+  expect_rejected(BackendConfig{"threaded_hogwild", hog});
+  // The limit itself is accepted.
+  steal.workers = sched::kMaxWorkers;
+  BackendRegistry::instance().validate(BackendConfig{"threaded_steal", steal}, engine);
+  hog.workers = sched::kMaxWorkers;
+  BackendRegistry::instance().validate(BackendConfig{"threaded_hogwild", hog}, engine);
+}
+
 TEST(BackendRegistry, NonSequentialBackendsRejectRecompute) {
   auto task = tiny_image_task();
   for (const char* name : {"threaded", "hogwild", "threaded_hogwild", "threaded_steal"}) {
@@ -275,14 +306,13 @@ TEST(ParseBackendCli, AppliesFlagsAndCarriesDelayAcrossFamily) {
   }
   {
     const char* argv[] = {"prog", "--backend=threaded_steal", "--workers=3",
-                          "--steal=forced", "--steal-log=1"};
-    util::Cli cli(5, const_cast<char**>(argv));
+                          "--steal=forced"};
+    util::Cli cli(4, const_cast<char**>(argv));
     TrainerConfig cfg;
     parse_backend_cli(cli, cfg);
     const auto& opts = std::get<StealOptions>(cfg.backend.options);
     EXPECT_EQ(opts.workers, 3);
     EXPECT_EQ(opts.mode, sched::StealMode::Forced);
-    EXPECT_TRUE(opts.record_log);
   }
   {
     // Worker counts carry between the worker-pool backends on a --backend

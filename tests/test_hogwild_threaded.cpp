@@ -89,6 +89,14 @@ TEST(HogwildValidation, RejectsBadConfigs) {
   auto bad_workers = base_config(2, 2);
   bad_workers.num_workers = -1;
   EXPECT_THROW(ThreadedHogwildEngine(fx.model, bad_workers, 1), std::invalid_argument);
+
+  // Worker counts are bounded: checked by the validator alone, so no pool
+  // is ever asked for the threads.
+  auto too_many = base_config(2, 2);
+  too_many.num_workers = sched::kMaxWorkers + 1;
+  EXPECT_THROW(validate_config(too_many), std::invalid_argument);
+  too_many.num_workers = sched::kMaxWorkers;
+  validate_config(too_many);
 }
 
 namespace {

@@ -177,8 +177,6 @@ TEST(KernelParity, FusedEpiloguesMatchNaiveAndUnfused) {
 
       expect_kinds_agree([&] { return matmul_nt_bias(a, bt, bs); },
                          "matmul_nt_bias");
-      expect_kinds_agree([&] { return matmul_nt_bias_relu(a, bt, bs); },
-                         "matmul_nt_bias_relu");
 
       // Fused must also equal the unfused sequence under BOTH kinds — the
       // nn::Linear adoption must not change any training curve.
@@ -189,9 +187,6 @@ TEST(KernelParity, FusedEpiloguesMatchNaiveAndUnfused) {
         add_row_inplace(unfused, bs);
         expect_bitwise(unfused, matmul_nt_bias(a, bt, bs),
                        "fused vs unfused bias");
-        Tensor unfused_relu = relu(unfused);
-        expect_bitwise(unfused_relu, matmul_nt_bias_relu(a, bt, bs),
-                       "fused vs unfused bias+relu");
       }
     }
   }
@@ -250,7 +245,7 @@ TEST(KernelParity, IntraOpLaneCountsAreBitwiseInvariant) {
   Tensor want_nn = matmul(a, b);
   Tensor want_tn = matmul_tn(at, b);
   Tensor want_nt = matmul_nt(a, bt);
-  Tensor want_bias = matmul_nt_bias_relu(a, bt, bs);
+  Tensor want_bias = matmul_nt_bias(a, bt, bs);
 
   KernelRegistry::set_kind(KernelKind::tiled);
   KernelRegistry::set_intra_op_min_flops(0);  // force the split for tiny GEMMs
@@ -259,8 +254,8 @@ TEST(KernelParity, IntraOpLaneCountsAreBitwiseInvariant) {
     expect_bitwise(want_nn, matmul(a, b), "lanes matmul");
     expect_bitwise(want_tn, matmul_tn(at, b), "lanes matmul_tn");
     expect_bitwise(want_nt, matmul_nt(a, bt), "lanes matmul_nt");
-    expect_bitwise(want_bias, matmul_nt_bias_relu(a, bt, bs),
-                   "lanes matmul_nt_bias_relu");
+    expect_bitwise(want_bias, matmul_nt_bias(a, bt, bs),
+                   "lanes matmul_nt_bias");
   }
 }
 

@@ -810,8 +810,17 @@ TEST(PipelineServer, StageStatsFeedTheLoadObserver) {
   auto workers = server.worker_stats();
   ASSERT_EQ(workers.size(), 2u);
   std::uint64_t worker_items = 0;
-  for (const auto& ws : workers) worker_items += ws.items;
+  std::uint64_t worker_stolen = 0;
+  for (const auto& ws : workers) {
+    worker_items += ws.items;
+    worker_stolen += ws.stolen_items;
+  }
   EXPECT_EQ(worker_items, items);
+  // Steal attribution: every stolen task is counted once on its stage and
+  // once on the thief.
+  std::uint64_t stage_stolen = 0;
+  for (const auto& s : stages) stage_stolen += s.stolen_items;
+  EXPECT_EQ(worker_stolen, stage_stolen);
 
   server.reset_stage_stats();
   for (const auto& s : server.stage_stats()) {
@@ -837,6 +846,26 @@ TEST(PipelineServer, ConfigValidationRejectsNonsense) {
   ServeConfig bad_slots = serve_config(1, 1, BatchPolicy::Continuous, 4);
   bad_slots.slots = -1;
   expect_invalid(bad_slots);
+}
+
+TEST(PipelineServer, ConfigValidationBoundsTheWorkerCount) {
+  // --serve-workers is outside input: a count past sched::kMaxWorkers is
+  // rejected by the validator (null model, so no server or pool is built)
+  // with an error naming the field.
+  for (int workers : {sched::kMaxWorkers + 1, 1000000}) {
+    try {
+      validate_serve_config(serve_config(1, workers, BatchPolicy::Continuous, 4),
+                            nullptr);
+      ADD_FAILURE() << "accepted workers = " << workers;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("workers"), std::string::npos) << e.what();
+    }
+  }
+  validate_serve_config(
+      serve_config(1, sched::kMaxWorkers, BatchPolicy::Continuous, 4), nullptr);
+  ServeConfig from_cli;
+  EXPECT_THROW(parse_serve_cli(make_cli({"--serve-workers=1000000"}), from_cli),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

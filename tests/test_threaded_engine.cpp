@@ -286,7 +286,6 @@ TEST(ThreadedBackend, RegistryEntryIsOneWorkerPerStageWithoutStealing) {
 
   expect_bitwise_parity(seq, *thr, fx.inputs, fx.targets, fx.head, 3);
   EXPECT_EQ(eng.total_steals(), 0u);
-  EXPECT_TRUE(eng.steal_log().empty());
   const auto stages = eng.stage_stats();
   const auto workers = eng.worker_stats();
   ASSERT_EQ(workers.size(), stages.size());
