@@ -14,6 +14,13 @@ void ExecutionBackend::repartition(const pipeline::Partition& /*next*/) {
                          "(supports_repartition() is false)");
 }
 
+pipeline::StepResult ExecutionBackend::train_step(
+    const std::vector<nn::Flow>& micro_inputs,
+    const std::vector<tensor::Tensor>& micro_targets, const nn::LossHead& head,
+    const pipeline::StepUpdate& update) {
+  return pipeline::serial_train_step(*this, micro_inputs, micro_targets, head, update);
+}
+
 std::string_view backend_options_name(const BackendOptions& options) {
   return std::visit(
       [](const auto& alt) -> std::string_view {

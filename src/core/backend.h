@@ -28,9 +28,11 @@ namespace pipemare::core {
 /// (devirtualized) engine use keeps working; the virtual path is the
 /// public entry point.
 ///
-/// One training step through the interface:
+/// One training step through the interface is train_step (see
+/// core::train_step); by default it runs the serial sequence
 ///
 ///   auto res = backend.forward_backward(inputs, targets, head);
+///   // divergence check, optional clip
 ///   opt.step(backend.weights(), backend.gradients(), segments);
 ///   backend.commit_update();
 class ExecutionBackend {
@@ -55,6 +57,17 @@ class ExecutionBackend {
   /// Publishes the mutated live weights as the next weight version. Call
   /// exactly once after each optimizer step.
   virtual void commit_update() = 0;
+
+  /// One whole training step: forward_backward plus the weight update, or
+  /// no update when the step diverged (pipeline::diverged). The default is
+  /// pipeline::serial_train_step over this interface; a backend whose
+  /// engine overlaps the update with the backward pass (the "threaded" and
+  /// "threaded_steal" StealingEngine) overrides it with a bitwise-equal
+  /// schedule.
+  virtual pipeline::StepResult train_step(const std::vector<nn::Flow>& micro_inputs,
+                                          const std::vector<tensor::Tensor>& micro_targets,
+                                          const nn::LossHead& head,
+                                          const pipeline::StepUpdate& update);
 
   /// Per-stage optimizer segments with the given base LR and per-stage
   /// scale factors (from the T1 rescheduler). Scales may be empty (all 1).
@@ -100,6 +113,26 @@ class ExecutionBackend {
   /// Throws std::logic_error when unsupported.
   virtual void repartition(const pipeline::Partition& next);
 };
+
+using StepUpdate = pipeline::StepUpdate;
+
+/// One training step on any engine of the train_loop concept: the
+/// engine's own train_step when it has one (ExecutionBackend, whose
+/// virtual dispatches to the backend; sched::StealingEngine, which runs
+/// each stage's update on the worker that finishes the stage's last
+/// backward), else pipeline::serial_train_step. Returns the step's
+/// result; when pipeline::diverged(result, update.divergence_loss) holds,
+/// no update was applied and engine.weights() are the pre-step weights.
+template <class Engine>
+pipeline::StepResult train_step(Engine& engine, const std::vector<nn::Flow>& micro_inputs,
+                                const std::vector<tensor::Tensor>& micro_targets,
+                                const nn::LossHead& head, const StepUpdate& update) {
+  if constexpr (requires { engine.train_step(micro_inputs, micro_targets, head, update); }) {
+    return engine.train_step(micro_inputs, micro_targets, head, update);
+  } else {
+    return pipeline::serial_train_step(engine, micro_inputs, micro_targets, head, update);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Typed per-backend options. BackendConfig carries them as a tagged variant

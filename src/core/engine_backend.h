@@ -46,6 +46,20 @@ class EngineBackend final : public ExecutionBackend {
   std::span<const float> weights() const override { return engine_.weights(); }
   std::span<float> gradients() override { return engine_.gradients(); }
   void commit_update() override { engine_.commit_update(); }
+  /// Engines with their own step schedule (StealingEngine) provide
+  /// train_step(); the rest keep the interface's serial sequence.
+  pipeline::StepResult train_step(const std::vector<nn::Flow>& micro_inputs,
+                                  const std::vector<tensor::Tensor>& micro_targets,
+                                  const nn::LossHead& head,
+                                  const pipeline::StepUpdate& update) override {
+    if constexpr (requires(Engine& e) {
+                    e.train_step(micro_inputs, micro_targets, head, update);
+                  }) {
+      return engine_.train_step(micro_inputs, micro_targets, head, update);
+    } else {
+      return ExecutionBackend::train_step(micro_inputs, micro_targets, head, update);
+    }
+  }
   std::vector<optim::LrSegment> lr_segments(
       double base_lr, std::span<const double> scales) const override {
     return engine_.lr_segments(base_lr, scales);

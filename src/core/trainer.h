@@ -50,7 +50,11 @@ struct TrainerConfig {
   double adam_beta1 = 0.9;
   double adam_beta2 = 0.98;
   double adam_eps = 1e-9;
-  double grad_clip = 0.0;  ///< 0 disables clipping
+  /// Global gradient-norm clip; 0 disables clipping. A clipped step runs
+  /// the serial step sequence on every backend: the norm is one sum over
+  /// the whole gradient in index order, so "threaded" / "threaded_steal"
+  /// cannot apply stage-local updates (StealingEngine::train_step).
+  double grad_clip = 0.0;
 
   enum class Sched { Constant, StepDecay, InverseSqrt };
   Sched schedule = Sched::StepDecay;
@@ -195,7 +199,8 @@ struct TrainResult {
 ///
 /// Engine concept (== the ExecutionBackend interface): forward_backward,
 /// weights, gradients, commit_update, lr_segments, stage_tau_fwd,
-/// set_method, method, model.
+/// set_method, method, model, and optionally train_step (each step runs
+/// through core::train_step).
 template <class Engine>
 TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cfg,
                        std::span<StepObserver* const> observers = {}) {
@@ -286,26 +291,24 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
       std::vector<int> idx(order.begin() + start,
                            order.begin() + start + cfg.minibatch_size);
       auto mb = task.minibatch(idx, cfg.microbatch_size);
-      auto res = engine.forward_backward(mb.inputs, mb.targets, task.loss());
-      if (!res.finite || res.loss > cfg.divergence_loss) {
-        result.diverged = true;
-        divergent_loss = res.loss;
-        break;
-      }
-      epoch_loss += res.loss;
-      ++epoch_batches;
-
-      if (cfg.grad_clip > 0.0) {
-        optim::clip_grad_norm(engine.gradients(), cfg.grad_clip);
-      }
+      // The LR segments are pure functions of the step counters, so they
+      // are known before the step: the engine may apply each stage's
+      // update as soon as that stage's gradient is final.
       double base_lr = sched->lr(step);
       std::vector<double> scales;
       if (cfg.t1 && async_phase) {
         scales = t1.scales(async_step);
       }
       auto segments = engine.lr_segments(base_lr, scales);
-      opt->step(engine.weights(), engine.gradients(), segments);
-      engine.commit_update();
+      auto res = train_step(engine, mb.inputs, mb.targets, task.loss(),
+                            StepUpdate{*opt, segments, cfg.divergence_loss, cfg.grad_clip});
+      if (pipeline::diverged(res, cfg.divergence_loss)) {
+        result.diverged = true;
+        divergent_loss = res.loss;
+        break;
+      }
+      epoch_loss += res.loss;
+      ++epoch_batches;
 
       StepInfo info;
       info.epoch = epoch;

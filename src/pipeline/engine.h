@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,39 @@ struct StepResult {
   double count = 0.0;    ///< metric denominator
   bool finite = true;    ///< false if loss or gradients went non-finite
 };
+
+/// The weight update that ends one training step: the caller's optimizer,
+/// the step's per-stage LR segments (pure functions of the step counters,
+/// so they are computed before the step runs), the divergence bound, and
+/// the global gradient-norm clip (0 = off). See core::train_step.
+struct StepUpdate {
+  optim::Optimizer& opt;
+  std::span<const optim::LrSegment> segments;
+  double divergence_loss = 1e3;
+  double grad_clip = 0.0;
+};
+
+/// True when a step's result ends training: a non-finite loss or gradient,
+/// or a mean loss above `divergence_loss`. Such a step applies no update.
+inline bool diverged(const StepResult& r, double divergence_loss) {
+  return !r.finite || r.loss > divergence_loss;
+}
+
+/// The serial step sequence any engine runs: forward_backward, the
+/// divergence check (a diverged step returns before any update), the
+/// global-norm clip, the optimizer step over the whole weight vector and
+/// the commit.
+template <class Engine>
+StepResult serial_train_step(Engine& engine, const std::vector<nn::Flow>& micro_inputs,
+                             const std::vector<tensor::Tensor>& micro_targets,
+                             const nn::LossHead& head, const StepUpdate& update) {
+  StepResult res = engine.forward_backward(micro_inputs, micro_targets, head);
+  if (diverged(res, update.divergence_loss)) return res;
+  if (update.grad_clip > 0.0) optim::clip_grad_norm(engine.gradients(), update.grad_clip);
+  update.opt.step(engine.weights(), engine.gradients(), update.segments);
+  engine.commit_update();
+  return res;
+}
 
 /// Per-stage optimizer segments for a partition with the given base LR and
 /// per-stage scale factors (from the T1 rescheduler). Scales may be empty
@@ -63,6 +97,7 @@ nn::LossResult evaluate_forward(const nn::Model& model, std::span<const float> p
 /// The engine owns the live weights, the per-version weight history (which
 /// doubles as PipeDream's weight stash), and the T2 delta buffers (all via
 /// WeightVersions). The caller owns the optimizer; one training step is
+/// serial_train_step:
 ///
 ///   auto res = engine.forward_backward(inputs, targets, head);
 ///   opt.step(engine.weights(), engine.gradients(), segments);

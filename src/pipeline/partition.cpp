@@ -223,6 +223,14 @@ std::vector<StageModuleRange> stage_module_ranges(const Partition& partition) {
   return ranges;
 }
 
+std::pair<std::int64_t, std::int64_t> unit_param_bounds(const Partition& partition,
+                                                         int ufirst, int ulast) {
+  if (ufirst >= ulast) return {0, 0};
+  const nn::WeightUnit& first = partition.units[static_cast<std::size_t>(ufirst)];
+  const nn::WeightUnit& last = partition.units[static_cast<std::size_t>(ulast - 1)];
+  return {first.offset, last.offset + last.size};
+}
+
 void validate_partition_config(std::string_view backend, const nn::Model* model,
                                int num_stages, bool split_bias,
                                const PartitionSpec& spec) {

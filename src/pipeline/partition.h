@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/nn/model.h"
@@ -107,6 +108,11 @@ struct StageModuleRange {
 /// the units' module ids being non-decreasing (guaranteed by
 /// make_partition's identity linearization).
 std::vector<StageModuleRange> stage_module_ranges(const Partition& partition);
+
+/// Flat-parameter bounds [lo, hi) of weight units [ufirst, ulast), which
+/// are contiguous in the flat layout; {0, 0} for an empty range.
+std::pair<std::int64_t, std::int64_t> unit_param_bounds(const Partition& partition,
+                                                         int ufirst, int ulast);
 
 /// Backend-validation helper: checks the (engine, model) partitioning
 /// configuration and throws std::invalid_argument with a message naming

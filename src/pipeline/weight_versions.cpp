@@ -199,37 +199,55 @@ std::span<const float> WeightVersions::backward_view(int ufirst, int ulast, int 
 }
 
 void WeightVersions::commit_update() {
-  ++step_;
-  std::vector<float>& slot = history_[static_cast<std::size_t>(step_ % history_depth_)];
+  begin_commit();
+  // The weight units tile the flat vector, so this publishes every weight.
+  commit_units(0, partition_.num_units());
+  publish_commit();
+}
+
+void WeightVersions::begin_commit() {
+  history_[static_cast<std::size_t>((step_ + 1) % history_depth_)].resize(live_.size());
+}
+
+void WeightVersions::commit_units(int ufirst, int ulast) {
+  float* slot = history_[static_cast<std::size_t>((step_ + 1) % history_depth_)].data();
   if (!cfg_.discrepancy_correction) {
-    slot = live_;
-  } else {
-    // One sweep: the delta EMA against the previous version (still in its
-    // ring slot), the ring publish, and the per-stage T2 backward weights.
-    // Model::weight_units tiles the flat vector, so the per-unit sweep
-    // publishes every weight.
-    slot.resize(live_.size());
-    CommitBuffers b{live_.data(),
-                    history_[static_cast<std::size_t>((step_ - 1) % history_depth_)].data(),
-                    delta_.data(), slot.data(), bwd_weights_.data()};
-    for (int u = 0; u < partition_.num_units(); ++u) {
-      const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
-      int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
-      double gap = schedule_.mean_tau_fwd(stage);
-      double gamma = theory::gamma_from_decay(cfg_.decay_d, gap);
-      auto gf = static_cast<float>(gamma);
-      auto cf = static_cast<float>(1.0 - gamma);
-      auto g = static_cast<float>(gap);
-      const auto lo = static_cast<std::size_t>(unit.offset);
-      const auto hi = lo + static_cast<std::size_t>(unit.size);
-      if (bwd_weights_.empty()) {
-        commit_unit<false>(b, lo, hi, gf, cf, g);
-      } else {
-        commit_unit<true>(b, lo, hi, gf, cf, g);
-      }
+    const auto [lo, hi] = unit_param_bounds(partition_, ufirst, ulast);
+    std::copy(live_.begin() + lo, live_.begin() + hi, slot + lo);
+    return;
+  }
+  // One sweep: the delta EMA against the current version (its ring slot),
+  // the publish into the next slot, and the per-stage T2 backward weights.
+  CommitBuffers b{live_.data(),
+                  history_[static_cast<std::size_t>(step_ % history_depth_)].data(),
+                  delta_.data(), slot, bwd_weights_.data()};
+  for (int u = ufirst; u < ulast; ++u) {
+    const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
+    int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
+    double gap = schedule_.mean_tau_fwd(stage);
+    double gamma = theory::gamma_from_decay(cfg_.decay_d, gap);
+    auto gf = static_cast<float>(gamma);
+    auto cf = static_cast<float>(1.0 - gamma);
+    auto g = static_cast<float>(gap);
+    const auto lo = static_cast<std::size_t>(unit.offset);
+    const auto hi = lo + static_cast<std::size_t>(unit.size);
+    if (bwd_weights_.empty()) {
+      commit_unit<false>(b, lo, hi, gf, cf, g);
+    } else {
+      commit_unit<true>(b, lo, hi, gf, cf, g);
     }
   }
+}
+
+void WeightVersions::publish_commit() {
+  ++step_;
   bytes_copied_->add(static_cast<std::uint64_t>(live_.size()) * sizeof(float));
+}
+
+void WeightVersions::restore_units(int ufirst, int ulast) {
+  const auto [lo, hi] = unit_param_bounds(partition_, ufirst, ulast);
+  const std::vector<float>& current = version(step_);
+  std::copy(current.begin() + lo, current.begin() + hi, live_.begin() + lo);
 }
 
 void WeightVersions::refresh() {

@@ -42,10 +42,11 @@ std::vector<obs::Histogram*> staleness_histograms(int stages);
 ///    always copy into a caller buffer. The sequential PipelineEngine runs
 ///    on them, so it stays the copying oracle the views are tested against.
 ///
-/// Lifetime: a view is valid until the next commit_update() or refresh().
-/// `live()` may be mutated only by the optimizer step that precedes
-/// commit_update(): the T2 backward view is derived from the live weights
-/// at commit time.
+/// Lifetime: a view is valid until the next commit of its units
+/// (commit_update(), or commit_units() over them) or refresh(). A unit's
+/// `live()` weights may be mutated only by the optimizer step that
+/// precedes the unit's commit: the T2 backward view is derived from the
+/// live weights at commit time.
 ///
 /// Counting: every byte an assembly call writes and every byte the commit
 /// publishes to the ring is added to the "train.weights.bytes_copied"
@@ -113,8 +114,36 @@ class WeightVersions {
   /// Publishes the mutated live weights as the next version, updates the
   /// T2 delta EMA and re-materializes the T2 backward view, in one sweep
   /// over the weights. The previous version is read from its ring slot.
-  /// Call exactly once after each optimizer step.
+  /// Call exactly once after each optimizer step. The one-call form of
+  /// begin_commit(), commit_units() over every unit and publish_commit().
   void commit_update();
+
+  /// The split commit, for an engine that commits each stage's units on
+  /// the worker that ran the stage's last backward (StealingEngine):
+  ///  - begin_commit() sizes the next version's ring slot. Call it on the
+  ///    owning thread before the generation whose workers commit.
+  ///  - commit_units(ufirst, ulast) writes the units' next-version ring
+  ///    slot, T2 delta EMA and per-stage T2 backward weights from the live
+  ///    weights. Safe concurrently on disjoint unit ranges while a
+  ///    generation runs, provided every reader of those units' live or T2
+  ///    backward weights in the step has finished: the slot it writes,
+  ///    (step + 1) % history_depth, is older than any version a forward
+  ///    pass of this step reads, and the views of other units never read
+  ///    these units' positions.
+  ///  - publish_commit() makes the written version current (++step) and
+  ///    counts the commit's bytes. Call once, after every unit committed.
+  /// Skipping publish_commit() leaves the current version intact, but the
+  /// delta EMA and the T2 backward weights of committed units are then
+  /// unspecified.
+  void begin_commit();
+  void commit_units(int ufirst, int ulast);
+  void publish_commit();
+
+  /// Copies units [ufirst, ulast) of the current version's ring slot back
+  /// into the live weights, undoing an optimizer update that will not be
+  /// committed (the slot holds the live weights of the last commit
+  /// bitwise). Not counted in "train.weights.bytes_copied".
+  void restore_units(int ufirst, int ulast);
 
   /// Re-derives the state that depends on the unit -> stage map (the T2
   /// backward view's per-unit gap). Call after the borrowed Partition was
@@ -138,13 +167,17 @@ class WeightVersions {
   const Schedule& schedule_;
 
   // Version-ring-published state (deliberately NOT GUARDED_BY any mutex):
-  // this class is lock-free by contract. The trainer thread writes step_,
-  // history_, live_, delta_ and bwd_weights_ only between minibatches
-  // (commit_update / refresh / the optimizer mutating live()); workers call
-  // the const view and assembly readers only inside a minibatch. The
-  // owning engine's generation barrier — the WorkerPool barrier in
-  // StealingEngine — is the happens-before edge that publishes each
-  // commit to the workers.
+  // this class is lock-free by contract. The trainer thread writes step_
+  // and sizes history_ slots only between minibatches (begin_commit /
+  // publish_commit / refresh); workers call the const view and assembly
+  // readers only inside a minibatch. The optimizer's update of live_ and
+  // commit_units' writes to the next ring slot, delta_ and bwd_weights_
+  // run either between minibatches (commit_update) or, in StealingEngine,
+  // on the worker that ran a stage's last backward — after every read of
+  // that stage's units in the step (the backward chain orders them) and
+  // on units no other stage reads. The owning engine's generation barrier
+  // — the WorkerPool barrier in StealingEngine — is the happens-before
+  // edge that publishes each commit to the next minibatch's workers.
   // Annotating these fields GUARDED_BY a capability would outlaw exactly
   // the lock-free reads that make the hot path scale; the unannotated
   // block marks the boundary the future free-running-commit mode must

@@ -78,7 +78,7 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   micro_count_.assign(static_cast<std::size_t>(n), 0.0);
   next_bwd_.assign(static_cast<std::size_t>(p), 0);
   bwd_ready_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
-  grads_finite_.assign(static_cast<std::size_t>(p), 1);
+  stage_end_.resize(static_cast<std::size_t>(p));
   const int w = resolve_workers(cfg_.workers, p);
   scratch_.resize(static_cast<std::size_t>(w));
 
@@ -113,12 +113,9 @@ void StealingEngine::record_failure(const char* what) {
 }
 
 std::span<float> StealingEngine::stage_gradients(const StageRange& r) {
-  if (r.unit_first == r.unit_last) return {};
-  const nn::WeightUnit& first = partition_.units[static_cast<std::size_t>(r.unit_first)];
-  const nn::WeightUnit& last = partition_.units[static_cast<std::size_t>(r.unit_last - 1)];
-  return std::span<float>(grads_).subspan(
-      static_cast<std::size_t>(first.offset),
-      static_cast<std::size_t>(last.offset + last.size - first.offset));
+  const auto [lo, hi] = pipeline::unit_param_bounds(partition_, r.unit_first, r.unit_last);
+  return std::span<float>(grads_).subspan(static_cast<std::size_t>(lo),
+                                          static_cast<std::size_t>(hi - lo));
 }
 
 void StealingEngine::mark_backward_ready(int stage, int micro) {
@@ -138,13 +135,23 @@ void StealingEngine::mark_backward_ready(int stage, int micro) {
 }
 
 void StealingEngine::execute(int worker, const Task& task) {
-  obs::Span span(task.kind == Task::Kind::Forward ? "fwd" : "bwd", "sched",
-                 task.stage, task.micro, store_.step());
-  std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
-  if (task.kind == Task::Kind::Forward) {
-    run_forward(task, w);
-  } else {
-    run_backward(task, w);
+  {
+    obs::Span span(task.kind == Task::Kind::Forward ? "fwd" : "bwd", "sched",
+                   task.stage, task.micro, store_.step());
+    std::vector<float>& w = scratch_[static_cast<std::size_t>(worker)];
+    if (task.kind == Task::Kind::Forward) {
+      run_forward(task, w);
+    } else {
+      run_backward(task, w);
+    }
+  }
+  // The stage's update runs after run_backward pushed Backward(s-1, N-1)
+  // and the chain successor, so it overlaps the lower stages' backward
+  // passes instead of delaying them. It is the stage's work, so it counts
+  // toward the stage's busy time.
+  if (mb_update_ != nullptr && task.kind == Task::Kind::Backward &&
+      task.micro == cfg_.engine.num_microbatches - 1) {
+    update_stage(task.stage);
   }
 }
 
@@ -215,11 +222,17 @@ void StealingEngine::run_backward(const Task& task, std::vector<float>& w) {
           x *= inv_n;
           if (!std::isfinite(x)) finite = false;
         }
-        grads_finite_[static_cast<std::size_t>(s)] = finite ? 1 : 0;
+        stage_end_[static_cast<std::size_t>(s)].grads_finite = finite ? 1 : 0;
       }
     } catch (const std::exception& e) {
       record_failure(e.what());
     }
+  }
+  if (mb_update_ != nullptr && m == n - 1 && s == cfg_.engine.num_stages - 1) {
+    // Every microbatch loss is in its slot now (each tail forward fed this
+    // chain). Decide once, before any lower stage can reach its update.
+    update_go_ = !mb_failed_.load(std::memory_order_relaxed) &&
+                 !pipeline::diverged(merged_result(false), mb_update_->divergence_loss);
   }
   if (s > 0) {
     // The flow slot is written before the task is pushed; the TaskQueue
@@ -241,9 +254,36 @@ void StealingEngine::run_backward(const Task& task, std::vector<float>& w) {
   if (successor_ready) runner_->push({Task::Kind::Backward, s, m + 1});
 }
 
-StealingEngine::StepResult StealingEngine::forward_backward(
-    const std::vector<nn::Flow>& micro_inputs,
-    const std::vector<tensor::Tensor>& micro_targets, const nn::LossHead& head) {
+void StealingEngine::update_stage(int s) {
+  const StageRange& r = ranges_[static_cast<std::size_t>(s)];
+  if (r.unit_first == r.unit_last || !update_go_ ||
+      stage_end_[static_cast<std::size_t>(s)].grads_finite == 0 ||
+      mb_failed_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  obs::Span span("update", "sched", s, -1, store_.step());
+  stage_end_[static_cast<std::size_t>(s)].stepped = 1;
+  try {
+    // Step the stage's execution range (module ownership), not its LR
+    // segment: unit_stage may place a unit of this stage's modules in the
+    // next stage's segment, whose gradient is final only here. Each weight
+    // takes the LR of the segment holding it.
+    const auto [lo, hi] = pipeline::unit_param_bounds(partition_, r.unit_first, r.unit_last);
+    for (const optim::LrSegment& seg : mb_update_->segments) {
+      const std::int64_t a = std::max(lo, seg.offset);
+      const std::int64_t b = std::min(hi, seg.offset + seg.size);
+      if (a < b) mb_update_->opt.step_range(store_.live(), grads_, {a, b - a, seg.lr});
+    }
+    store_.commit_units(r.unit_first, r.unit_last);
+  } catch (const std::exception& e) {
+    record_failure(e.what());
+  }
+}
+
+void StealingEngine::run_minibatch(const std::vector<nn::Flow>& micro_inputs,
+                                   const std::vector<tensor::Tensor>& micro_targets,
+                                   const nn::LossHead& head,
+                                   const pipeline::StepUpdate* update) {
   const int n = cfg_.engine.num_microbatches;
   const int p = cfg_.engine.num_stages;
   if (static_cast<int>(micro_inputs.size()) != n ||
@@ -264,6 +304,14 @@ StealingEngine::StepResult StealingEngine::forward_backward(
   mb_targets_ = &micro_targets;
   mb_head_ = &head;
   mb_failed_.store(false);
+  mb_update_ = update;
+  update_go_ = false;
+  for (StageEnd& end : stage_end_) end.stepped = 0;
+  if (update != nullptr) {
+    // Sized here, on the trainer thread: the workers only fill them.
+    update->opt.begin_step(store_.live().size());
+    store_.begin_commit();
+  }
 
   // LoadAware victim re-ranking from the cumulative busy counters (no-op
   // in the other modes; the first minibatch keeps the cost-model seed).
@@ -285,15 +333,22 @@ StealingEngine::StepResult StealingEngine::forward_backward(
   runner_->run_generation(std::int64_t{2} * n * p, store_.step());
   mb_targets_ = nullptr;
   mb_head_ = nullptr;
+  mb_update_ = nullptr;
+}
+
+void StealingEngine::rethrow_failure() {
   if (mb_failed_.load()) {
     util::MutexLock lock(gate_m_);
     throw std::runtime_error("StealingEngine worker failed: " + mb_error_);
   }
+}
 
+StealingEngine::StepResult StealingEngine::merged_result(bool with_gradients) const {
   // Ordered merge of the per-microbatch slots: bitwise-identical to the
   // sequential engine's in-order accumulation (and the unified non-finite
   // StepResult contract: first non-finite loss in microbatch order,
   // zeroed metrics, gradients unspecified).
+  const int n = cfg_.engine.num_microbatches;
   StepResult result;
   for (int m = 0; m < n; ++m) {
     double loss = micro_loss_[static_cast<std::size_t>(m)];
@@ -309,9 +364,43 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     result.count += micro_count_[static_cast<std::size_t>(m)];
   }
   // The workers already normalized each stage's gradient slice.
-  for (std::uint8_t finite : grads_finite_) {
-    if (finite == 0) result.finite = false;
+  if (with_gradients) {
+    for (const StageEnd& end : stage_end_) {
+      if (end.grads_finite == 0) result.finite = false;
+    }
   }
+  return result;
+}
+
+StealingEngine::StepResult StealingEngine::forward_backward(
+    const std::vector<nn::Flow>& micro_inputs,
+    const std::vector<tensor::Tensor>& micro_targets, const nn::LossHead& head) {
+  run_minibatch(micro_inputs, micro_targets, head, nullptr);
+  rethrow_failure();
+  return merged_result(true);
+}
+
+StealingEngine::StepResult StealingEngine::train_step(
+    const std::vector<nn::Flow>& micro_inputs,
+    const std::vector<tensor::Tensor>& micro_targets, const nn::LossHead& head,
+    const pipeline::StepUpdate& update) {
+  if (update.grad_clip > 0.0) {
+    return pipeline::serial_train_step(*this, micro_inputs, micro_targets, head, update);
+  }
+  run_minibatch(micro_inputs, micro_targets, head, &update);
+  StepResult result = merged_result(true);
+  if (mb_failed_.load() || pipeline::diverged(result, update.divergence_loss)) {
+    // Undo the stages that stepped before the step was known to fail; the
+    // current version's ring slot holds their pre-step weights bitwise.
+    for (std::size_t s = 0; s < stage_end_.size(); ++s) {
+      if (stage_end_[s].stepped != 0) {
+        store_.restore_units(ranges_[s].unit_first, ranges_[s].unit_last);
+      }
+    }
+    rethrow_failure();
+    return result;
+  }
+  store_.publish_commit();
   return result;
 }
 

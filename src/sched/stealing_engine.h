@@ -83,6 +83,17 @@ inline StealConfig threaded_config(pipeline::EngineConfig engine) {
 /// The StealMode therefore only changes *which worker* runs a task and
 /// when — wall-clock, busy spread, steal counters — never the floats.
 ///
+/// Stage-local weight updates (train_step): as on pipeline hardware, each
+/// stage applies its own update as soon as its gradient is final. The
+/// worker that runs Backward(s, N-1) pushes its successors, then steps the
+/// optimizer over stage s's execution range (its modules' weight units,
+/// with each weight's LR from the LrSegment holding it) and commits those
+/// units' next version (WeightVersions::commit_units), so the update
+/// overlaps the lower stages' backward passes and only stage 0's slice is
+/// on the step's critical path. The trainer thread then only publishes
+/// the version. Every weight sees the same per-element expressions as the
+/// serial sequence, so curves stay bitwise-equal to "sequential".
+///
 /// The surface matches the core::train_loop engine concept /
 /// core::ExecutionBackend interface. Unsupported: activation
 /// recomputation (an analytic-engine feature).
@@ -104,6 +115,22 @@ class StealingEngine {
   StepResult forward_backward(const std::vector<nn::Flow>& micro_inputs,
                               const std::vector<tensor::Tensor>& micro_targets,
                               const nn::LossHead& head);
+
+  /// One training step with stage-local updates (see the class comment):
+  /// forward_backward plus `update`. Divergence is exact: Backward(P-1,
+  /// N-1) decides once, from the ordered loss merge, whether the stages
+  /// may step; a stage then steps only if its own gradient slice is
+  /// finite. If the step diverges after some stages stepped (a lower
+  /// stage's non-finite gradient) or a task throws, those stages' live
+  /// weights are restored from the current version and nothing is
+  /// published: weights() equal the serial sequence's (no update), but
+  /// the optimizer state and the T2 delta EMA are unspecified — train_loop
+  /// ends the run there. A throw is rethrown after the graph drains.
+  /// With update.grad_clip > 0 this is pipeline::serial_train_step: the
+  /// global norm is one sum over the whole gradient in index order.
+  StepResult train_step(const std::vector<nn::Flow>& micro_inputs,
+                        const std::vector<tensor::Tensor>& micro_targets,
+                        const nn::LossHead& head, const pipeline::StepUpdate& update);
 
   std::span<float> weights() { return store_.live(); }
   std::span<const float> weights() const { return store_.live(); }
@@ -154,10 +181,23 @@ class StealingEngine {
  private:
   using StageRange = pipeline::StageModuleRange;
 
-  /// The runner's task body: one forward or backward of (stage, micro).
+  /// The runner's task body: one forward or backward of (stage, micro),
+  /// plus the stage's update after its last backward in a train_step.
   void execute(int worker, const Task& task);
   void run_forward(const Task& task, std::vector<float>& w);
   void run_backward(const Task& task, std::vector<float>& w);
+  /// Stage `s`'s optimizer slice and commit sweep (train_step only).
+  void update_stage(int s);
+  /// Seeds one minibatch's tasks and runs them as one generation; with an
+  /// update, the stages step inside it.
+  void run_minibatch(const std::vector<nn::Flow>& micro_inputs,
+                     const std::vector<tensor::Tensor>& micro_targets,
+                     const nn::LossHead& head, const pipeline::StepUpdate* update);
+  /// The ordered merge of the per-microbatch loss slots, plus the stages'
+  /// gradient finiteness when `with_gradients`.
+  StepResult merged_result(bool with_gradients) const;
+  /// Throws the first recorded worker failure of the minibatch, if any.
+  void rethrow_failure();
   /// The slice of grads_ a stage's backward accumulates into (the weight
   /// units its modules own, contiguous in the flat layout); empty for a
   /// stage that owns no weight units.
@@ -187,10 +227,23 @@ class StealingEngine {
   std::vector<double> micro_loss_;   ///< per micro: loss slots (ordered merge)
   std::vector<double> micro_correct_;
   std::vector<double> micro_count_;
-  /// per stage: 0 if Backward(s, N-1)'s normalization sweep found a
-  /// non-finite gradient (single writer, read after the minibatch barrier)
-  std::vector<std::uint8_t> grads_finite_;
+  /// What a stage's last backward of the minibatch reports. Single writer
+  /// (the task running Backward(s, N-1) and the stage's update after it),
+  /// read after the minibatch barrier.
+  struct StageEnd {
+    /// 0 if the normalization sweep found a non-finite gradient
+    std::uint8_t grads_finite = 1;
+    /// 1 once update_stage began changing the stage's live weights
+    std::uint8_t stepped = 0;
+  };
+  std::vector<StageEnd> stage_end_;  ///< per stage
   std::atomic<bool> mb_failed_{false};
+  /// Backward(P-1, N-1)'s decision that the stages may step. Written before
+  /// that task hands Backward(P-2, N-1) its gradient; every lower stage's
+  /// last backward is ordered after that handoff by the backward chain.
+  bool update_go_ = false;
+  /// train_step's update, or null in forward_backward.
+  const pipeline::StepUpdate* mb_update_ = nullptr;
 
   // The backward-chain gates and the failure record, GUARDED_BY(gate_m_)
   // — a Clang -Wthread-safety build proves the gating protocol never

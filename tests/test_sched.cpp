@@ -7,15 +7,21 @@
 // (the "threaded" backend's configuration), forced-steal bitwise parity vs the
 // sequential engine, a (P, N, W) stress sweep asserting no task is lost or
 // run twice, run-to-run reproducible curves in deterministic steal mode,
-// and steal counts surfacing through core::StageLoadObserver.
+// steal counts surfacing through core::StageLoadObserver, and the
+// stage-local weight update (StealingEngine::train_step) matching the
+// serial step sequence bitwise through core::train_loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,12 +32,16 @@
 #include "src/core/stage_load.h"
 #include "src/core/task.h"
 #include "src/core/trainer.h"
+#include "src/data/translation_data.h"
 #include "src/nn/activations.h"
 #include "src/nn/heads.h"
 #include "src/nn/linear.h"
 #include "src/nn/model.h"
+#include "src/nn/transformer.h"
 #include "src/obs/metrics.h"
+#include "src/optim/optimizer.h"
 #include "src/pipeline/engine.h"
+#include "src/pipeline/partition.h"
 #include "src/sched/steal_policy.h"
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_graph_runner.h"
@@ -749,6 +759,509 @@ TEST(WeightViews, SplitBiasFallbackBytesAreCounted) {
     total_fallback += tasks;
   }
   EXPECT_GT(total_fallback, 0u) << "the split_bias fallback must be exercised";
+}
+
+// ---------------------------------------------------------------------------
+// Stage-local weight updates: StealingEngine::train_step vs the serial step
+// ---------------------------------------------------------------------------
+
+constexpr int kTaskFeatures = 10;
+constexpr int kTaskClasses = 5;
+
+/// An MLP whose layer widths alternate, so a balanced split differs from
+/// the uniform one (the repartition case).
+void add_alternating_mlp(nn::Model& m) {
+  const int widths[] = {kTaskFeatures, 24, 8, 24, 8};
+  for (std::size_t i = 0; i + 1 < std::size(widths); ++i) {
+    m.add(std::make_unique<nn::Linear>(widths[i], widths[i + 1], /*relu_init=*/true));
+    m.add(std::make_unique<nn::ReLU>());
+  }
+  m.add(std::make_unique<nn::Linear>(8, kTaskClasses));
+}
+
+nn::Model alternating_mlp() {
+  nn::Model m;
+  add_alternating_mlp(m);
+  return m;
+}
+
+/// Random classification over a model from `build` (kTaskFeatures in,
+/// kTaskClasses out).
+class MlpTask : public core::Task {
+ public:
+  explicit MlpTask(int size, std::function<nn::Model()> build = alternating_mlp)
+      : size_(size), build_(std::move(build)) {
+    util::Rng rng(31);
+    for (int i = 0; i < size_ * kTaskFeatures; ++i) {
+      xs_.push_back(static_cast<float>(rng.normal()));
+    }
+    for (int i = 0; i < size_; ++i) {
+      ys_.push_back(static_cast<float>(rng.randint(kTaskClasses)));
+    }
+  }
+
+  std::string name() const override { return "stage-local-mlp"; }
+  std::string metric_name() const override { return "accuracy"; }
+  nn::Model build_model() const override { return build_(); }
+  const nn::LossHead& loss() const override { return loss_; }
+  int train_size() const override { return size_; }
+  data::MicroBatches minibatch(const std::vector<int>& indices,
+                               int micro_size) const override {
+    data::MicroBatches mb;
+    for (std::size_t start = 0; start < indices.size();
+         start += static_cast<std::size_t>(micro_size)) {
+      const auto rows = std::min(static_cast<std::size_t>(micro_size), indices.size() - start);
+      nn::Flow f;
+      f.x = tensor::Tensor({static_cast<int>(rows), kTaskFeatures});
+      tensor::Tensor t({static_cast<int>(rows)});
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto idx = static_cast<std::size_t>(indices[start + r]);
+        for (int c = 0; c < kTaskFeatures; ++c) {
+          f.x.at(static_cast<int>(r), c) = xs_[idx * kTaskFeatures + static_cast<std::size_t>(c)];
+        }
+        t.at(static_cast<int>(r)) = ys_[idx];
+      }
+      mb.inputs.push_back(std::move(f));
+      mb.targets.push_back(std::move(t));
+    }
+    return mb;
+  }
+  double evaluate(const nn::Model& model, std::span<const float> params) const override {
+    std::vector<int> all(static_cast<std::size_t>(size_));
+    for (int i = 0; i < size_; ++i) all[static_cast<std::size_t>(i)] = i;
+    auto mb = minibatch(all, size_);
+    auto caches = model.make_caches();
+    nn::Flow out = model.forward(mb.inputs.at(0), params, caches);
+    auto res = loss_.forward_backward(out.x, mb.targets.at(0));
+    return res.count > 0 ? 100.0 * res.correct / res.count : 0.0;
+  }
+
+ private:
+  int size_;
+  std::function<nn::Model()> build_;
+  std::vector<float> xs_;
+  std::vector<float> ys_;
+  nn::ClassificationXent loss_;
+};
+
+/// A Transformer small enough for the sanitizer runs.
+std::unique_ptr<core::TranslationTask> tiny_translation_task() {
+  data::TranslationConfig d;
+  d.vocab = 12;
+  d.seq_len = 5;
+  d.train_size = 32;
+  d.test_size = 8;
+  d.seed = 3;
+  nn::TransformerConfig m;
+  m.vocab = 12;
+  m.d_model = 8;
+  m.heads = 2;
+  m.enc_layers = 1;
+  m.dec_layers = 1;
+  m.ffn_hidden = 16;
+  m.max_len = 8;
+  return std::make_unique<core::TranslationTask>(d, m, "tiny-translation", 4);
+}
+
+/// True when some module's weight units fall in different LR stages: the
+/// module runs on one stage, but unit_stage puts part of it in the next
+/// stage's LR segment.
+bool module_straddles_stages(const pipeline::Partition& part) {
+  for (std::size_t u = 1; u < part.units.size(); ++u) {
+    if (part.units[u].module == part.units[u - 1].module &&
+        part.unit_stage[u] != part.unit_stage[u - 1]) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Repartitions the backend to `target` at the end of epoch `at_epoch`.
+class MigrateAt final : public core::StepObserver {
+ public:
+  MigrateAt(core::ExecutionBackend& backend, const pipeline::Partition& target, int at_epoch)
+      : backend_(backend), target_(target), at_epoch_(at_epoch) {}
+  void on_epoch(core::EpochRecord& record) override {
+    if (record.epoch == at_epoch_) backend_.repartition(target_);
+  }
+
+ private:
+  core::ExecutionBackend& backend_;
+  const pipeline::Partition& target_;
+  int at_epoch_;
+};
+
+/// One cell of the stage-local update parity matrix.
+struct UpdateCase {
+  std::string label;
+  pipeline::Method method = pipeline::Method::PipeMare;
+  bool t2 = false;
+  bool split_bias = false;
+  bool t1 = false;
+  int warmup_epochs = 0;  ///< T3: Sync for this many epochs, then `method`
+  bool adamw = false;
+  double grad_clip = 0.0;
+  bool repartition = false;  ///< migrate to the balanced split after epoch 1
+  bool transformer = false;
+};
+
+struct CurveRun {
+  core::TrainResult result;
+  std::vector<float> weights;
+};
+
+CurveRun run_update_case(const core::Task& task, const UpdateCase& c,
+                         const core::BackendConfig& backend) {
+  core::TrainerConfig cfg;
+  cfg.engine.method = c.method;
+  cfg.engine.num_stages = c.transformer ? 6 : 4;
+  cfg.engine.discrepancy_correction = c.t2;
+  cfg.engine.decay_d = 0.25;
+  cfg.engine.split_bias = c.split_bias;
+  cfg.epochs = 3;
+  cfg.minibatch_size = c.transformer ? 8 : 16;
+  cfg.microbatch_size = c.transformer ? 2 : 4;
+  cfg.engine.num_microbatches = cfg.num_microbatches();
+  cfg.schedule = core::TrainerConfig::Sched::Constant;
+  cfg.t1 = c.t1;
+  cfg.t1_annealing_steps = 6;
+  cfg.warmup_epochs = c.warmup_epochs;
+  cfg.grad_clip = c.grad_clip;
+  cfg.seed = 5;
+  if (c.adamw) {
+    cfg.optimizer = core::TrainerConfig::Opt::AdamW;
+    cfg.lr = 2e-3;
+    cfg.weight_decay = 1e-4;
+  } else {
+    cfg.optimizer = core::TrainerConfig::Opt::SgdMomentum;
+    cfg.lr = 0.05;
+    cfg.weight_decay = 5e-4;
+  }
+  cfg.backend = backend;
+  auto be = core::BackendRegistry::instance().create(task.build_model(), backend,
+                                                     cfg.engine, cfg.seed);
+  pipeline::PartitionSpec balanced;
+  balanced.strategy = pipeline::PartitionStrategy::Balanced;
+  const pipeline::Partition target = pipeline::make_partition(
+      be->model(), cfg.engine.num_stages, c.split_bias, balanced);
+  if (c.repartition) {
+    EXPECT_NE(target.unit_stage, be->partition()->unit_stage) << c.label;
+  }
+  if (c.transformer) {
+    EXPECT_TRUE(module_straddles_stages(*be->partition())) << c.label;
+  }
+  MigrateAt migrate(*be, target, 1);
+  std::vector<core::StepObserver*> obs;
+  if (c.repartition) obs.push_back(&migrate);
+  CurveRun run;
+  run.result = core::train_loop(task, *be, cfg, obs);
+  run.weights.assign(be->weights().begin(), be->weights().end());
+  return run;
+}
+
+void expect_same_run(const CurveRun& ref, const CurveRun& got, const std::string& label) {
+  ASSERT_EQ(ref.result.diverged, got.result.diverged) << label;
+  ASSERT_EQ(ref.result.curve.size(), got.result.curve.size()) << label;
+  for (std::size_t e = 0; e < ref.result.curve.size(); ++e) {
+    const auto& a = ref.result.curve[e];
+    const auto& b = got.result.curve[e];
+    // Bitwise, so a divergence record's NaN metric compares equal too.
+    EXPECT_EQ(std::memcmp(&a.train_loss, &b.train_loss, sizeof(double)), 0)
+        << label << " epoch " << e << ": " << a.train_loss << " vs " << b.train_loss;
+    EXPECT_EQ(std::memcmp(&a.metric, &b.metric, sizeof(double)), 0)
+        << label << " epoch " << e << ": " << a.metric << " vs " << b.metric;
+    EXPECT_EQ(std::memcmp(&a.param_norm, &b.param_norm, sizeof(double)), 0)
+        << label << " epoch " << e << ": " << a.param_norm << " vs " << b.param_norm;
+  }
+  ASSERT_EQ(ref.weights.size(), got.weights.size()) << label;
+  for (std::size_t i = 0; i < ref.weights.size(); ++i) {
+    ASSERT_EQ(ref.weights[i], got.weights[i]) << label << " weight " << i;
+  }
+}
+
+TEST(StageLocalUpdate, ParityMatrixThroughTrainLoopMatchesSequentialBitwise) {
+  // Every method and technique the step sequence touches: which weights a
+  // stage steps (split_bias, a Transformer module straddling an LR
+  // segment boundary, a mid-training repartition), with which LR (T1,
+  // T3), which optimizer, and the serial clip-on sequence.
+  const std::vector<UpdateCase> cases = {
+      {"PipeMare + per-stage T2, AdamW", pipeline::Method::PipeMare, true, false, false, 0,
+       true},
+      {"PipeMare without T2", pipeline::Method::PipeMare},
+      {"Sync, AdamW", pipeline::Method::Sync, false, false, false, 0, true},
+      {"PipeDream", pipeline::Method::PipeDream},
+      {"split_bias PipeMare + T2", pipeline::Method::PipeMare, true, true},
+      {"T1 per-stage LR scales, AdamW", pipeline::Method::PipeMare, true, false, true, 0,
+       true},
+      {"T3 Sync -> PipeMare", pipeline::Method::PipeMare, true, false, false, 1},
+      {"grad_clip > 0 (serial sequence), AdamW", pipeline::Method::PipeMare, true, false,
+       false, 0, true, 0.5},
+      {"mid-training repartition", pipeline::Method::PipeMare, true, false, false, 0, false,
+       0.0, true},
+      {"Transformer, module straddling a stage boundary, AdamW", pipeline::Method::PipeMare,
+       true, false, false, 0, true, 0.0, false, true},
+  };
+  core::StealOptions forced;
+  forced.workers = 3;
+  forced.mode = StealMode::Forced;
+  MlpTask mlp(48);
+  auto translation = tiny_translation_task();
+  for (const UpdateCase& c : cases) {
+    const core::Task& task = c.transformer ? static_cast<const core::Task&>(*translation)
+                                           : static_cast<const core::Task&>(mlp);
+    const CurveRun seq = run_update_case(task, c, core::BackendConfig{"sequential"});
+    ASSERT_FALSE(seq.result.diverged) << c.label;
+    ASSERT_EQ(seq.result.curve.size(), 3u) << c.label;
+    expect_same_run(seq, run_update_case(task, c, core::BackendConfig{"threaded"}),
+                    c.label + " / threaded");
+    expect_same_run(seq,
+                    run_update_case(task, c, core::BackendConfig{"threaded_steal", forced}),
+                    c.label + " / forced threaded_steal");
+  }
+}
+
+/// AdamW that records the thread of every step_range call.
+class RecordingAdamW final : public optim::AdamW {
+ public:
+  void step_range(std::span<float> params, std::span<const float> grads,
+                  const optim::LrSegment& seg) override {
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    AdamW::step_range(params, grads, seg);
+  }
+
+  /// step_range calls recorded since the last call, and how many ran on
+  /// `caller`.
+  std::pair<std::size_t, std::size_t> take(std::thread::id caller) {
+    std::lock_guard<std::mutex> lock(m_);
+    const auto on_caller =
+        static_cast<std::size_t>(std::count(threads_.begin(), threads_.end(), caller));
+    const std::size_t total = threads_.size();
+    threads_.clear();
+    return {total, on_caller};
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(StageLocalUpdate, UpdatesRunOnWorkersUnlessClipped) {
+  // With clip off every stage's slice is stepped by a pool worker; with
+  // clip on, train_step is the serial sequence on the calling thread. The
+  // commit copies the model exactly once per step either way.
+  MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
+  auto cfg = steal_config(pipeline::Method::PipeMare, 4, 4, /*workers=*/3,
+                          StealMode::Forced);
+  cfg.engine.discrepancy_correction = true;
+  StealingEngine eng(fx.model, cfg, 1);
+  RecordingAdamW opt;
+  const auto segments = eng.lr_segments(1e-3, {});
+  obs::Counter& copied =
+      obs::MetricsRegistry::instance().counter("train.weights.bytes_copied");
+  const std::uint64_t model_bytes = 4 * static_cast<std::uint64_t>(fx.model.param_count());
+  const auto caller = std::this_thread::get_id();
+  for (double clip : {0.0, 1e9}) {
+    for (int step = 0; step < 3; ++step) {
+      const std::uint64_t before = copied.value();
+      auto res = core::train_step(eng, fx.inputs, fx.targets, fx.head,
+                                  core::StepUpdate{opt, segments, 1e3, clip});
+      ASSERT_TRUE(res.finite);
+      EXPECT_EQ(copied.value() - before, model_bytes) << "clip " << clip << " step " << step;
+      auto [total, on_caller] = opt.take(caller);
+      EXPECT_GE(total, segments.size()) << "clip " << clip;
+      if (clip > 0.0) {
+        EXPECT_EQ(on_caller, total) << "clipped step " << step;
+      } else {
+        EXPECT_EQ(on_caller, 0u) << "stage-local step " << step;
+      }
+    }
+  }
+  EXPECT_EQ(eng.steps_taken(), 6);
+}
+
+// ---------------------------------------------------------------------------
+// Stage-local updates: the divergence and failure contracts
+// ---------------------------------------------------------------------------
+
+constexpr const char* kStepFaultMessage = "injected step fault";
+
+/// Test-only module with one weight, the identity on activations. On the
+/// first training pass of step `step`, microbatch `micro`, its backward
+/// either writes +inf into its weight's gradient (the loss stays finite)
+/// or throws; a retry of the step runs clean. It is the first module of
+/// the model, so it runs on stage 0: every other stage may have stepped
+/// by the time it fails.
+class StepFault : public nn::Module {
+ public:
+  enum class Kind { InfGradient, Throw };
+
+  StepFault(Kind kind, std::int64_t step, int micro) : kind_(kind), step_(step), micro_(micro) {}
+
+  std::string name() const override { return "StepFault"; }
+  std::int64_t param_count() const override { return 1; }
+
+  nn::Flow forward(const nn::Flow& in, std::span<const float> /*w*/,
+                   nn::Cache& cache) const override {
+    cache.saved.assign(1, tensor::Tensor({1}));
+    const bool hit = in.training && in.step == step_ && in.micro == micro_ &&
+                     armed_.exchange(false);
+    cache.saved[0][0] = hit ? 1.0F : 0.0F;
+    return in;
+  }
+
+  nn::Flow backward(const nn::Flow& dout, std::span<const float> /*w_bkwd*/,
+                    const nn::Cache& cache, std::span<float> grad) const override {
+    if (cache.saved.at(0)[0] != 0.0F) {
+      if (kind_ == Kind::Throw) throw std::runtime_error(kStepFaultMessage);
+      grad[0] = std::numeric_limits<float>::infinity();
+    }
+    return dout;
+  }
+
+ private:
+  Kind kind_;
+  std::int64_t step_;
+  int micro_;
+  mutable std::atomic<bool> armed_{true};
+};
+
+/// The alternating MLP behind a StepFault.
+std::function<nn::Model()> faulty_mlp(StepFault::Kind kind, std::int64_t step, int micro) {
+  return [=] {
+    nn::Model m;
+    m.add(std::make_unique<StepFault>(kind, step, micro));
+    add_alternating_mlp(m);
+    return m;
+  };
+}
+
+/// Trains `task` through core::train_loop on sequential, threaded and
+/// forced threaded_steal and expects bitwise-equal curves (divergence
+/// record included) and final weights.
+void expect_backends_agree(const core::Task& task, core::TrainerConfig cfg,
+                           const std::string& label) {
+  cfg.engine.num_microbatches = cfg.num_microbatches();
+  core::StealOptions forced;
+  forced.workers = 3;
+  forced.mode = StealMode::Forced;
+  auto run = [&](const core::BackendConfig& backend) {
+    auto be = core::BackendRegistry::instance().create(task.build_model(), backend,
+                                                       cfg.engine, cfg.seed);
+    CurveRun r;
+    r.result = core::train_loop(task, *be, cfg);
+    r.weights.assign(be->weights().begin(), be->weights().end());
+    return r;
+  };
+  const CurveRun seq = run(core::BackendConfig{"sequential"});
+  ASSERT_TRUE(seq.result.diverged) << label;
+  ASSERT_TRUE(seq.result.curve.back().is_divergence_record()) << label;
+  expect_same_run(seq, run(core::BackendConfig{"threaded"}), label + " / threaded");
+  expect_same_run(seq, run(core::BackendConfig{"threaded_steal", forced}),
+                  label + " / forced threaded_steal");
+}
+
+TEST(StageLocalUpdate, NonFiniteLowerStageGradientRestoresSteppedStages) {
+  // Step 4 (epoch 2) yields +inf in stage 0's gradient while every loss
+  // stays finite: the upper stages step, then the step diverges and they
+  // are restored, so the divergence record's ||w|| is the pre-step one.
+  constexpr int kMicro = 4;
+  for (bool adamw : {false, true}) {
+    MlpTask task(48, faulty_mlp(StepFault::Kind::InfGradient, 4, kMicro - 1));
+    core::TrainerConfig cfg;
+    cfg.engine.method = pipeline::Method::PipeMare;
+    cfg.engine.num_stages = 4;
+    cfg.engine.discrepancy_correction = true;
+    cfg.epochs = 3;
+    cfg.minibatch_size = 16;
+    cfg.microbatch_size = 16 / kMicro;
+    cfg.schedule = core::TrainerConfig::Sched::Constant;
+    cfg.optimizer = adamw ? core::TrainerConfig::Opt::AdamW : core::TrainerConfig::Opt::SgdMomentum;
+    cfg.lr = adamw ? 2e-3 : 0.05;
+    cfg.seed = 5;
+    expect_backends_agree(task, cfg, adamw ? "AdamW" : "SGD");
+  }
+}
+
+TEST(StageLocalUpdate, ForcedDivergenceMatchesSequential) {
+  // The forced-divergence case of the trainer suite (any loss counts as
+  // divergent): Backward(P-1, N-1)'s decision fails, no stage steps.
+  data::ImageDatasetConfig d;
+  d.classes = 4;
+  d.train_size = 256;
+  d.test_size = 96;
+  d.image_size = 8;
+  d.noise_std = 0.4;
+  d.seed = 11;
+  nn::ResNetConfig m;
+  m.base_channels = 6;
+  m.blocks_per_group = {1, 1};
+  core::ImageTask task(d, m, "tiny-image");
+  core::TrainerConfig cfg;
+  cfg.engine.method = pipeline::Method::PipeMare;
+  cfg.engine.num_stages = 4;
+  cfg.epochs = 3;
+  cfg.minibatch_size = 32;
+  cfg.microbatch_size = 8;
+  cfg.schedule = core::TrainerConfig::Sched::Constant;
+  cfg.lr = 0.05;
+  cfg.weight_decay = 1e-4;
+  cfg.seed = 5;
+  cfg.divergence_loss = 1e-12;
+  expect_backends_agree(task, cfg, "divergence_loss 1e-12");
+}
+
+TEST(StageLocalUpdate, ThrowOnALowerStageRestoresWeightsAndLeavesPoolUsable) {
+  // Backward(0, N-1) throws on step 1, after the upper stages' updates
+  // were released: train_step rethrows once the graph drained, the live
+  // weights are the pre-step version bitwise, and the pool still runs.
+  constexpr int kStages = 4;
+  constexpr int kMicro = 4;
+  MlpTask task(16, faulty_mlp(StepFault::Kind::Throw, 1, kMicro - 1));
+  pipeline::EngineConfig ec;
+  ec.method = pipeline::Method::PipeMare;
+  ec.num_stages = kStages;
+  ec.num_microbatches = kMicro;
+  ec.discrepancy_correction = true;
+  core::StealOptions forced;
+  forced.workers = 3;
+  forced.mode = StealMode::Forced;
+  std::vector<int> idx(16);
+  for (int i = 0; i < 16; ++i) idx[static_cast<std::size_t>(i)] = i;
+  const auto mb = task.minibatch(idx, 16 / kMicro);
+  for (const auto& backend :
+       {core::BackendConfig{"threaded"}, core::BackendConfig{"threaded_steal", forced}}) {
+    auto be = core::BackendRegistry::instance().create(task.build_model(), backend, ec, 1);
+    optim::AdamW opt;
+    const auto segments = be->lr_segments(1e-2, {});
+    const core::StepUpdate update{opt, segments, 1e3, 0.0};
+    ASSERT_TRUE(core::train_step(*be, mb.inputs, mb.targets, task.loss(), update).finite);
+    const std::vector<float> before(be->weights().begin(), be->weights().end());
+    auto items = [&] {
+      std::uint64_t n = 0;
+      for (const auto& st : be->stage_stats()) n += st.items;
+      return n;
+    };
+    const std::uint64_t items_before = items();
+    try {
+      (void)core::train_step(*be, mb.inputs, mb.targets, task.loss(), update);
+      ADD_FAILURE() << backend.name << ": expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(kStepFaultMessage), std::string::npos)
+          << backend.name << ": " << e.what();
+    }
+    EXPECT_EQ(items() - items_before, 2u * kMicro * kStages) << backend.name;
+    auto w = be->weights();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&w[i], &before[i], sizeof(float)), 0)
+          << backend.name << " weight " << i;
+    }
+    auto retry = be->forward_backward(mb.inputs, mb.targets, task.loss());
+    EXPECT_TRUE(retry.finite) << backend.name;
+    EXPECT_EQ(items() - items_before, 4u * kMicro * kStages) << backend.name;
+  }
 }
 
 }  // namespace
