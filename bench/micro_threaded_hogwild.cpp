@@ -1,12 +1,13 @@
 // Wall-clock comparison of the "hogwild" (sequential HogwildEngine) and
-// "threaded_hogwild" (W free-running workers) registry backends on an
-// identical training step (Appendix E stochastic-delay semantics). The
-// threaded backend runs the minibatch's microbatches on W workers sharing
-// the delayed weight snapshots; results are bitwise reproducible run-to-run
+// "threaded_hogwild" (microbatch tasks on W workers) registry backends on
+// an identical training step (Appendix E stochastic-delay semantics). The
+// threaded backend runs the minibatch's microbatches as independent tasks
+// on a TaskGraphRunner, all reading one delayed weight view the trainer
+// thread assembles per step; results are bitwise reproducible run-to-run
 // and match the sequential engine up to gradient-sum reassociation, so the
 // rows measure pure execution overlap. On a host with >= W cores the
 // threaded rows should approach W-fold items/s once per-microbatch compute
-// dominates queue and snapshot-assembly overhead.
+// dominates queue and view-assembly overhead.
 //
 // google-benchmark target: bench_micro_threaded_hogwild
 //   [--benchmark_filter=...] [--benchmark_min_time=...]

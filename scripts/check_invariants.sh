@@ -24,6 +24,12 @@
 #      goes through tensor::ops so the KernelRegistry dispatch (naive
 #      oracle vs tiled+SIMD) covers every matmul in the tree. Self-checked
 #      like rule 5: the naive kernels must trip the scan.
+#   7. sched::WorkerPool is constructed only by sched::TaskGraphRunner
+#      (src/sched/task_graph_runner.cpp, every training and serving engine's
+#      scheduler) and by the intra-op GEMM lanes
+#      (src/tensor/kernels/intra_op.cpp). An engine that wants threads runs
+#      tasks on a TaskGraphRunner instead of a private loop. Self-checked
+#      like rules 5 and 6: the runner's construction site must trip the scan.
 #
 # Exit status: 0 = all invariants hold, 1 = at least one violation
 # (each printed with file:line).
@@ -118,6 +124,22 @@ violation "raw GEMM accumulation loop outside src/tensor/kernels/ (route it thro
 if ! grep -qE "$GEMM_RE" src/tensor/kernels/gemm_naive.cpp 2>/dev/null; then
   violation "GEMM-loop scan self-check failed (regex or anchor file rotted)" \
     "src/tensor/kernels/gemm_naive.cpp:1 (expected the naive GEMM kernels to match the scan)"
+fi
+
+# --- Rule 7: WorkerPool construction confined to the runner and the lanes --
+# A construction: make_unique / make_shared / new of a WorkerPool, or a
+# WorkerPool-typed variable or member (`sched::WorkerPool pool_;`).
+POOL_RE='(make_unique|make_shared)<(sched::)?WorkerPool>|new[[:space:]]+(sched::)?WorkerPool\b|(^|[^A-Za-z0-9_:<])(sched::)?WorkerPool[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[;({=]'
+hits=$(grep -nE "$POOL_RE" $SRC_FILES /dev/null |
+         grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+         grep -vE '^src/sched/worker_pool\.(h|cpp):' |
+         grep -vE '^src/(sched/task_graph_runner|tensor/kernels/intra_op)\.cpp:')
+violation "sched::WorkerPool constructed outside sched::TaskGraphRunner and the intra-op lanes (run the engine's work as tasks on a TaskGraphRunner)" "$hits"
+
+# Rule 7 self-check: the runner's own construction must trip the scan.
+if ! grep -qE "$POOL_RE" src/sched/task_graph_runner.cpp 2>/dev/null; then
+  violation "WorkerPool-construction scan self-check failed (regex or anchor file rotted)" \
+    "src/sched/task_graph_runner.cpp:1 (expected the runner's WorkerPool construction to match the scan)"
 fi
 
 # --- Rule 5: scan self-check ----------------------------------------------

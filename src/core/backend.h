@@ -162,8 +162,8 @@ struct HogwildOptions {
                                    ///< pipeline profile (2(P-i)+1)/N
 };
 
-/// "threaded_hogwild" — W free-running workers over the same stochastic
-/// delay model (hogwild::ThreadedHogwildEngine).
+/// "threaded_hogwild" — the same stochastic delay model with the
+/// microbatches run as tasks on W workers (hogwild::ThreadedHogwildEngine).
 struct ThreadedHogwildOptions {
   static constexpr std::string_view kName = "ThreadedHogwildOptions";
   double max_delay = 16.0;         ///< delay truncation bound (>= 0)
@@ -218,7 +218,7 @@ struct BackendConfig {
 /// String-keyed factory table mapping backend names to ExecutionBackend
 /// builders. The five in-tree backends ("sequential", "threaded",
 /// "hogwild", "threaded_hogwild", "threaded_steal") register themselves on
-/// first use; new execution substrates (free-running Hogwild) plug in via
+/// first use; new execution substrates plug in via
 /// register_backend without touching core::train.
 ///
 /// Registration is intended for startup; concurrent register_backend calls

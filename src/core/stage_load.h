@@ -49,19 +49,28 @@ class StageLoadObserver final : public StepObserver {
       // epoch's delta rather than indexing a mismatched baseline.
       last_.clear();
     }
-    if (!last_.empty()) {
-      // Counters are cumulative and monotone unless someone called
-      // reset_stage_stats() mid-epoch; a regressed counter means the
-      // baseline is stale, and the cumulative value IS the epoch's delta.
-      auto since = [](std::uint64_t now, std::uint64_t before) {
-        return now >= before ? now - before : now;
-      };
+    // Counters are cumulative and monotone unless someone called
+    // reset_stage_stats() mid-epoch, which zeroes every slot at once. So one
+    // regressed counter means the whole baseline is stale, and the
+    // cumulative values ARE the epoch's delta. Deciding per slot would miss
+    // a reset behind a slot that ran more work since it than before it (a
+    // worker slot may run any share of a step).
+    auto regressed = [](const StageStats& now, const StageStats& before) {
+      return now.busy_ns < before.busy_ns || now.pop_wait_ns < before.pop_wait_ns ||
+             now.items < before.items || now.stolen_items < before.stolen_items ||
+             now.stolen_ns < before.stolen_ns;
+    };
+    bool stale = last_.empty();
+    for (std::size_t s = 0; s < delta.size(); ++s) {
+      stale = stale || regressed(cumulative[s], last_[s]);
+    }
+    if (!stale) {
       for (std::size_t s = 0; s < delta.size(); ++s) {
-        delta[s].busy_ns = since(cumulative[s].busy_ns, last_[s].busy_ns);
-        delta[s].pop_wait_ns = since(cumulative[s].pop_wait_ns, last_[s].pop_wait_ns);
-        delta[s].items = since(cumulative[s].items, last_[s].items);
-        delta[s].stolen_items = since(cumulative[s].stolen_items, last_[s].stolen_items);
-        delta[s].stolen_ns = since(cumulative[s].stolen_ns, last_[s].stolen_ns);
+        delta[s].busy_ns -= last_[s].busy_ns;
+        delta[s].pop_wait_ns -= last_[s].pop_wait_ns;
+        delta[s].items -= last_[s].items;
+        delta[s].stolen_items -= last_[s].stolen_items;
+        delta[s].stolen_ns -= last_[s].stolen_ns;
       }
     }
     last_ = std::move(cumulative);
@@ -72,8 +81,7 @@ class StageLoadObserver final : public StepObserver {
   /// execution regime; both events below reset the backend's view of the
   /// world (a repartition also resets the counters themselves), so drop
   /// the baseline — otherwise the first post-event delta would compare
-  /// new counters against a stale epoch and go "negative" (wrap through
-  /// the since() fallback) per stage.
+  /// new counters against a stale epoch.
   void on_method_switch(pipeline::Method /*from*/, pipeline::Method /*to*/,
                         int /*epoch*/) override {
     last_ = sample();

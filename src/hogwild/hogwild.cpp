@@ -88,29 +88,7 @@ HogwildEngine::StepResult HogwildEngine::forward_backward(
   }
   std::fill(grads_.begin(), grads_.end(), 0.0F);
   StepResult result;
-
-  // Sample one delay per stage per optimizer step; both the forward and
-  // backward passes of a stage read the same delayed version (eq. 17).
-  std::vector<float> w(live_.size());
-  if (method_ == pipeline::Method::Sync) {
-    std::copy(live_.begin(), live_.end(), w.begin());
-  } else {
-    for (int u = 0; u < partition_.num_units(); ++u) {
-      const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
-      int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
-      double mean = mean_delay_[static_cast<std::size_t>(stage)];
-      auto delay = static_cast<std::int64_t>(
-          std::llround(delay_rng_.truncated_exponential(mean, cfg_.max_delay)));
-      std::int64_t v = std::max<std::int64_t>(0, step_ - delay);
-      // Observed tau: the delay as actually experienced (clamped while
-      // step_ < delay), per unit — matching WeightVersions' recording.
-      staleness_[static_cast<std::size_t>(stage)]->observe(
-          static_cast<double>(step_ - v));
-      const auto& src = history_[static_cast<std::size_t>(v % history_depth_)];
-      std::copy(src.begin() + unit.offset, src.begin() + unit.offset + unit.size,
-                w.begin() + unit.offset);
-    }
-  }
+  std::span<const float> w = delayed_weights();
 
   auto caches = model_.make_caches();
   for (int micro = 0; micro < n; ++micro) {
@@ -142,6 +120,28 @@ HogwildEngine::StepResult HogwildEngine::forward_backward(
     if (!std::isfinite(g)) result.finite = false;
   }
   return result;
+}
+
+std::span<const float> HogwildEngine::delayed_weights() {
+  if (method_ == pipeline::Method::Sync) return live_;
+  // One delay per stage unit per optimizer step; both the forward and
+  // backward passes of a stage read the same delayed version (eq. 17).
+  view_.resize(live_.size());
+  for (int u = 0; u < partition_.num_units(); ++u) {
+    const nn::WeightUnit& unit = partition_.units[static_cast<std::size_t>(u)];
+    int stage = partition_.unit_stage[static_cast<std::size_t>(u)];
+    double mean = mean_delay_[static_cast<std::size_t>(stage)];
+    auto delay = static_cast<std::int64_t>(
+        std::llround(delay_rng_.truncated_exponential(mean, cfg_.max_delay)));
+    std::int64_t v = std::max<std::int64_t>(0, step_ - delay);
+    // Observed tau: the delay as actually experienced (clamped while
+    // step_ < delay), per unit — matching WeightVersions' recording.
+    staleness_[static_cast<std::size_t>(stage)]->observe(static_cast<double>(step_ - v));
+    const auto& src = history_[static_cast<std::size_t>(v % history_depth_)];
+    std::copy(src.begin() + unit.offset, src.begin() + unit.offset + unit.size,
+              view_.begin() + unit.offset);
+  }
+  return view_;
 }
 
 void HogwildEngine::commit_update() {

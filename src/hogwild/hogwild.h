@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/nn/heads.h"
@@ -35,7 +36,9 @@ struct HogwildConfig {
 /// Validates a HogwildConfig the way the pipeline engines validate theirs:
 /// num_stages >= 1, num_microbatches >= 1, max_delay finite and >= 0,
 /// mean_delay empty or of size num_stages, 0 <= num_workers <= kMaxWorkers.
-/// Throws std::invalid_argument. Shared by HogwildEngine and ThreadedHogwildEngine.
+/// Throws std::invalid_argument. HogwildEngine's constructor runs it (so
+/// ThreadedHogwildEngine does, through its core), as do the registry's
+/// validate hooks.
 void validate_config(const HogwildConfig& cfg);
 
 /// The per-stage delay expectations the config implies: `mean_delay` when
@@ -65,10 +68,19 @@ class HogwildEngine {
                               const std::vector<tensor::Tensor>& micro_targets,
                               const nn::LossHead& head);
 
+  /// Draws this step's per-unit delays (recording them in the staleness
+  /// histograms) and returns the delayed weight view every microbatch of
+  /// the step reads. Under Sync it is the live weights. Call once per
+  /// step, before any read; the view stays valid until the next call or
+  /// commit_update().
+  std::span<const float> delayed_weights();
+
   std::span<float> weights() { return live_; }
   std::span<const float> weights() const { return live_; }
   std::span<float> gradients() { return grads_; }
   void commit_update();
+  /// Committed updates so far (the version the live weights carry).
+  std::int64_t step() const { return step_; }
 
   /// Sync disables the random delays (used for T3 warmup comparisons).
   void set_method(pipeline::Method m) { method_ = m; }
@@ -94,6 +106,7 @@ class HogwildEngine {
   int history_depth_ = 1;
   std::vector<std::vector<float>> history_;
   std::vector<float> live_;
+  std::vector<float> view_;  ///< delayed_weights() buffer, reused every step
   std::vector<float> grads_;
   util::Rng delay_rng_;
   /// "train.staleness.stage<k>": observed sampled delay per stage — the

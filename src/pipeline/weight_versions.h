@@ -176,14 +176,10 @@ class WeightVersions {
   // on the worker that ran a stage's last backward — after every read of
   // that stage's units in the step (the backward chain orders them) and
   // on units no other stage reads. The owning engine's generation barrier
-  // — the WorkerPool barrier in StealingEngine — is the happens-before
+  // — the TaskGraphRunner's in StealingEngine — is the happens-before
   // edge that publishes each commit to the next minibatch's workers.
   // Annotating these fields GUARDED_BY a capability would outlaw exactly
-  // the lock-free reads that make the hot path scale; the unannotated
-  // block marks the boundary the future free-running-commit mode must
-  // make race-free by other means (a seqlock over the ring slots, as
-  // ThreadedHogwildEngine sketches, or double-buffered slabs) — not by
-  // adding a lock.
+  // the lock-free reads that make the hot path scale.
   std::int64_t step_ = 0;  ///< number of committed updates (version index)
   int history_depth_ = 1;
   std::vector<std::vector<float>> history_;  ///< ring buffer of weight versions

@@ -16,10 +16,12 @@
 
 namespace pipemare::sched {
 
-/// The task-graph runner every pipeline-shaped owner runs on: training
-/// (StealingEngine: forward and backward tasks, one generation per
-/// minibatch) and serving (serve::PipelineServer: forward-only tasks, one
-/// open generation per serving session).
+/// The task-graph runner every multithreaded engine runs on: pipeline
+/// training (StealingEngine: forward and backward tasks, one generation per
+/// minibatch), Hogwild training (hogwild::ThreadedHogwildEngine: one
+/// independent task per microbatch, one queue per worker, one generation
+/// per minibatch) and serving (serve::PipelineServer: forward-only tasks,
+/// one open generation per serving session).
 ///
 /// It owns the scheduling half of both: the WorkerPool, one TaskQueue per
 /// stage, the home mapping (stage s is home to worker s mod W), acquire,

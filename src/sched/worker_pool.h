@@ -22,10 +22,12 @@ int resolve_workers(int requested, int parallelism);
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies
-/// have finished. This is the one release/collect barrier of the repo:
-/// StealingEngine (hence "threaded" and "threaded_steal"),
-/// ThreadedHogwildEngine and serve::PipelineServer all run on it, and it is
-/// the only place a std::thread is constructed.
+/// have finished. This is the one release/collect barrier of the repo, and
+/// the only place a std::thread is constructed. Two owners construct it
+/// (scripts/check_invariants.sh rule 7): sched::TaskGraphRunner, which every
+/// engine runs on — StealingEngine ("threaded", "threaded_steal"),
+/// ThreadedHogwildEngine ("threaded_hogwild") and serve::PipelineServer —
+/// and the intra-op GEMM lanes.
 ///
 /// The barrier also carries the memory-ordering contract the engines rely
 /// on: everything the owner writes before run_generation() is visible to

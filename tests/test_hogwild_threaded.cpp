@@ -205,11 +205,28 @@ TEST(ThreadedHogwild, ResolvesWorkerCount) {
   EXPECT_LE(auto_engine.num_workers(), 4);
 }
 
+/// Runs `steps` steps of an N-microbatch minibatch on W workers and returns
+/// the per-worker counters.
+std::vector<pipeline::StageStats> worker_stats_after(int n, int workers, int steps) {
+  HogwildFixture fx(n);
+  auto hw = base_config(2, n);
+  hw.num_workers = workers;
+  ThreadedHogwildEngine engine(fx.model, hw, 1);
+  for (int step = 0; step < steps; ++step) {
+    (void)engine.forward_backward(fx.inputs, fx.targets, fx.head);
+    engine.commit_update();
+  }
+  return engine.stage_stats();
+}
+
 TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
   // Parity with the stage-partitioned backends' load instrumentation:
   // per-worker busy / item counters behind the same stage_stats() surface, so
   // core::StageLoadObserver samples every multithreaded backend uniformly.
+  // The contract is on the sum over workers: every microbatch runs exactly
+  // once, on whichever worker took it; a steal is one of those runs.
   const int n = 6;
+  const int steps = 3;
   HogwildFixture fx(n);
   auto hw = base_config(2, n);
   hw.num_workers = 2;
@@ -222,20 +239,21 @@ TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
     EXPECT_EQ(s.items, 0u);
   }
 
-  const int steps = 3;
   for (int step = 0; step < steps; ++step) {
     (void)engine.forward_backward(fx.inputs, fx.targets, fx.head);
     engine.commit_update();
   }
   auto after = engine.stage_stats();
   std::uint64_t items = 0;
+  std::uint64_t stolen = 0;
   std::uint64_t busy = 0;
   for (const auto& s : after) {
     items += s.items;
+    stolen += s.stolen_items;
     busy += s.busy_ns;
-    EXPECT_EQ(s.stolen_items, 0u);  // no stealing in this backend
   }
   EXPECT_EQ(items, static_cast<std::uint64_t>(steps * n));
+  EXPECT_LE(stolen, items);
   EXPECT_GT(busy, 0u);
 
   engine.reset_stage_stats();
@@ -243,7 +261,21 @@ TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
     EXPECT_EQ(s.busy_ns, 0u);
     EXPECT_EQ(s.pop_wait_ns, 0u);
     EXPECT_EQ(s.items, 0u);
+    EXPECT_EQ(s.stolen_items, 0u);
   }
+
+  // One worker owns every queue, so nothing is ever stolen.
+  auto single = worker_stats_after(n, 1, steps);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0].items, static_cast<std::uint64_t>(steps * n));
+  EXPECT_EQ(single[0].stolen_items, 0u);
+
+  // More workers than microbatches: one worker's queue stays empty.
+  auto wide = worker_stats_after(2, 3, steps);
+  ASSERT_EQ(wide.size(), 3u);
+  items = 0;
+  for (const auto& s : wide) items += s.items;
+  EXPECT_EQ(items, static_cast<std::uint64_t>(steps * 2));
 }
 
 TEST(ThreadedHogwild, StageLoadObserverActivatesThroughRegistryBackend) {
