@@ -9,8 +9,6 @@
 //               only meaningful because the outputs are identical.
 //   epilogue    fused bias GEMM (matmul_nt_bias, what Linear, Conv2d and
 //               attention run) vs the unfused two-pass sequence.
-//   lanes       intra-op row-split scaling of the tiled 512^3 GEMM
-//               (single-core hosts should show ~1x: the lanes timeshare).
 //   train       steps/s of a sequential-backend MLP training loop under
 //               each kernel kind (the whole-pipeline win, not just GEMM).
 //   serve       saturation throughput of serve::PipelineServer per kind.
@@ -54,20 +52,11 @@ using Clock = std::chrono::steady_clock;
 /// Saves/restores the process-global kernel selection around the bench.
 class KernelStateGuard {
  public:
-  KernelStateGuard()
-      : kind_(KernelRegistry::kind()),
-        lanes_(KernelRegistry::lanes()),
-        min_flops_(KernelRegistry::intra_op_min_flops()) {}
-  ~KernelStateGuard() {
-    KernelRegistry::set_kind(kind_);
-    KernelRegistry::set_lanes(lanes_);
-    KernelRegistry::set_intra_op_min_flops(min_flops_);
-  }
+  KernelStateGuard() : kind_(KernelRegistry::kind()) {}
+  ~KernelStateGuard() { KernelRegistry::set_kind(kind_); }
 
  private:
   KernelKind kind_;
-  int lanes_;
-  std::int64_t min_flops_;
 };
 
 std::vector<float> filled(std::int64_t count, int salt) {
@@ -177,22 +166,6 @@ EpilogueResult bench_epilogue(int m, int k, int n, int reps) {
       std::memcmp(fused.data(), unfused.data(),
                   sizeof(float) * static_cast<std::size_t>(fused.size())) == 0;
   return r;
-}
-
-double bench_lanes(int lanes, int size, int reps) {
-  KernelStateGuard guard;
-  KernelRegistry::set_kind(KernelKind::tiled);
-  KernelRegistry::set_lanes(lanes);
-  KernelRegistry::set_intra_op_min_flops(0);
-  auto a = filled(static_cast<std::int64_t>(size) * size, 1);
-  auto b = filled(static_cast<std::int64_t>(size) * size, 2);
-  std::vector<float> c(static_cast<std::size_t>(size) * static_cast<std::size_t>(size));
-  const auto& table = KernelRegistry::table(KernelKind::tiled);
-  double ns = min_ns(reps, [&] {
-    std::fill(c.begin(), c.end(), 0.0F);
-    table.gemm_nn(a.data(), b.data(), c.data(), size, size, size);
-  });
-  return ns > 0.0 ? 2.0 * size * static_cast<double>(size) * size / ns : 0.0;
 }
 
 /// Sequential-backend training steps/s under the given kernel kind.
@@ -309,17 +282,6 @@ int main(int argc, char** argv) {
             << util::fmt_x(epi.speedup()) << ", bitwise "
             << (epi.bitwise_equal ? "==" : "DIFF") << ")\n";
 
-  // ---- Intra-op lanes -----------------------------------------------------
-  std::vector<std::pair<int, double>> lane_rows;
-  for (int lanes : {1, 2, 4}) {
-    lane_rows.emplace_back(lanes, bench_lanes(lanes, 512, reps));
-  }
-  std::cout << "tiled 512^3 by intra-op lanes:";
-  for (auto& [lanes, gflops] : lane_rows) {
-    std::cout << "  L" << lanes << "=" << util::fmt(gflops, 1) << "GF/s";
-  }
-  std::cout << '\n';
-
   // ---- End-to-end train / serve ------------------------------------------
   const double train_naive = bench_train(KernelKind::naive, train_steps, seed);
   const double train_tiled = bench_train(KernelKind::tiled, train_steps, seed);
@@ -382,15 +344,6 @@ int main(int argc, char** argv) {
     ep.set("speedup", epi.speedup());
     ep.set("bitwise_equal", epi.bitwise_equal);
     root.set("epilogue", std::move(ep));
-
-    benchutil::Json lanes = benchutil::Json::array();
-    for (auto& [count, gflops] : lane_rows) {
-      benchutil::Json l = benchutil::Json::object();
-      l.set("lanes", count);
-      l.set("gflops", gflops);
-      lanes.push(std::move(l));
-    }
-    root.set("intra_op_lanes", std::move(lanes));
 
     benchutil::Json cal = benchutil::Json::object();
     cal.set("naive_gemm_flops_per_ns", cal_naive.gemm_flops_per_ns);

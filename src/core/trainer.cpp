@@ -61,7 +61,6 @@ std::string backend_cli_help() {
          ">\n"
          "  --partition=uniform|balanced[,measured|,calibrated]\n"
          "  --kernels=naive|tiled (tensor kernel backend; both bitwise-equal)\n"
-         "  --kernel-lanes=<int>  (intra-op GEMM lanes per worker; 1 = off)\n"
          "  --max-delay=<float>   (hogwild family: delay truncation bound)\n"
          "  --workers=<int>       (threaded_hogwild, threaded_steal)\n"
          "  --steal=off|load|det|forced (threaded_steal)\n"
@@ -132,7 +131,9 @@ void parse_backend_cli(const util::Cli& cli, TrainerConfig& cfg) {
     tensor::kernels::KernelRegistry::set_kind(*kind);
   }
   if (cli.has("kernel-lanes")) {
-    tensor::kernels::KernelRegistry::set_lanes(cli.get_int("kernel-lanes", 1));
+    throw std::invalid_argument(
+        "parse_backend_cli: --kernel-lanes was removed; GEMMs run on the "
+        "calling worker (use --workers for parallelism)");
   }
   // Observability flags are universal (every backend is instrumented), so
   // they stay outside the flag-routing table.

@@ -367,7 +367,6 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
 ///   --kernels=naive|tiled
 ///                        tensor kernel backend (process-global; both are
 ///                        bitwise-equal, see tensor::kernels::KernelRegistry)
-///   --kernel-lanes=<int> intra-op GEMM lanes nested per worker (1 = off)
 ///   --max-delay=<float>  hogwild family: delay truncation bound
 ///   --workers=<int>      threaded_hogwild / threaded_steal: worker threads
 ///   --steal=off|load|det|forced
@@ -381,7 +380,8 @@ TrainResult train_loop(const Task& task, Engine& engine, const TrainerConfig& cf
 /// between the two hogwild backends carries max_delay / mean_delay over
 /// (and worker counts carry between the worker-pool backends), while a
 /// flag the selected built-in backend cannot honor (e.g. --workers with
-/// "hogwild") throws instead of being silently dropped.
+/// "hogwild") throws instead of being silently dropped, as does the removed
+/// --kernel-lanes.
 void parse_backend_cli(const util::Cli& cli, TrainerConfig& cfg);
 
 /// The shared-flag usage block for --help text, with the backend list

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "src/pipeline/weight_versions.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/task_graph_runner.h"
 
 namespace pipemare::hogwild {
 

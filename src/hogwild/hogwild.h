@@ -35,7 +35,8 @@ struct HogwildConfig {
 
 /// Validates a HogwildConfig the way the pipeline engines validate theirs:
 /// num_stages >= 1, num_microbatches >= 1, max_delay finite and >= 0,
-/// mean_delay empty or of size num_stages, 0 <= num_workers <= kMaxWorkers.
+/// mean_delay empty or of size num_stages, 0 <= num_workers <=
+/// sched::kMaxWorkers (src/sched/task_graph_runner.h).
 /// Throws std::invalid_argument. HogwildEngine's constructor runs it (so
 /// ThreadedHogwildEngine does, through its core), as do the registry's
 /// validate hooks.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -19,6 +20,18 @@ thread_local std::uint64_t tls_notify_ns = 0;
 
 }  // namespace
 
+int resolve_workers(int requested, int parallelism) {
+  if (requested < 0 || requested > kMaxWorkers) {
+    throw std::invalid_argument("resolve_workers: " + std::to_string(requested) +
+                                " workers requested; must be in [0, " +
+                                std::to_string(kMaxWorkers) + "] (0 = auto)");
+  }
+  if (requested > 0) return requested;
+  auto cores = static_cast<int>(std::thread::hardware_concurrency());
+  if (cores <= 0) cores = 2;
+  return std::max(1, std::min(cores, parallelism));
+}
+
 TaskGraphRunner::TaskGraphRunner(int stages, int workers, StealMode mode,
                                  RunTask run, IdleStep idle)
     : workers_(workers), mode_(mode), run_(std::move(run)), idle_(std::move(idle)) {
@@ -34,9 +47,53 @@ TaskGraphRunner::TaskGraphRunner(int stages, int workers, StealMode mode,
     home_stages_[static_cast<std::size_t>(s % workers)].push_back(s);
   }
   counters_ = std::make_unique<Counters[]>(p + w);
-  home_cv_ = std::make_unique<util::CondVar[]>(w);
+  home_cv_ = std::make_unique<util::CondVar[]>(w + 1);
   // Spawn last: work() touches every field above.
-  pool_ = std::make_unique<WorkerPool>(workers, [this](int worker) { work(worker); });
+  threads_.reserve(w);
+  try {
+    for (int i = 0; i < workers; ++i) threads_.emplace_back([this, i] { thread_loop(i); });
+  } catch (...) {
+    // Destroying a joinable std::thread would std::terminate.
+    {
+      util::MutexLock lock(m_);
+      shutdown_ = true;
+    }
+    all_cv_.notify_all();
+    for (auto& t : threads_) t.join();
+    throw;
+  }
+}
+
+TaskGraphRunner::~TaskGraphRunner() {
+  {
+    util::MutexLock lock(m_);
+    shutdown_ = true;
+  }
+  all_cv_.notify_all();
+  for (auto& t : threads_) t.join();
+}
+
+void TaskGraphRunner::thread_loop(int worker) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      util::MutexLock lock(m_);
+      while (!shutdown_ && generation_ == seen) all_cv_.wait(m_);
+      if (shutdown_) return;
+      seen = generation_;
+    }
+    if (obs::TraceRecorder::instance().enabled()) {
+      obs::TraceRecorder::instance().set_thread_name("pool-worker-" +
+                                                     std::to_string(worker));
+    }
+    work(worker);
+    bool last = false;
+    {
+      util::MutexLock lock(m_);
+      last = ++parked_ == workers_;
+    }
+    if (last) home_cv_[static_cast<std::size_t>(workers_)].notify_one();
+  }
 }
 
 void TaskGraphRunner::set_victim_order(std::span<const int> order) {
@@ -46,13 +103,17 @@ void TaskGraphRunner::set_victim_order(std::span<const int> order) {
 void TaskGraphRunner::push(const Task& task) {
   const auto t0 = Clock::now();
   queues_[static_cast<std::size_t>(task.stage)]->push(task);
+  bool open = false;
   {
     util::MutexLock lock(m_);
     ++push_version_;
+    open = remaining_ != 0;
   }
-  if (mode_ == StealMode::Disabled) {
+  // Between generations (the owner seeding its queues) every worker is
+  // parked or leaving, and the next release makes each one scan.
+  if (open && mode_ == StealMode::Disabled) {
     home_cv_[static_cast<std::size_t>(home_worker(task.stage))].notify_one();
-  } else {
+  } else if (open) {
     all_cv_.notify_all();
   }
   tls_notify_ns += util::ns_between(t0, Clock::now());
@@ -60,11 +121,13 @@ void TaskGraphRunner::push(const Task& task) {
 
 void TaskGraphRunner::notify_all() {
   const auto t0 = Clock::now();
+  bool open = false;
   {
     util::MutexLock lock(m_);
     ++push_version_;
+    open = remaining_ != 0;
   }
-  wake_all();
+  if (open) wake_all();
   tls_notify_ns += util::ns_between(t0, Clock::now());
 }
 
@@ -75,18 +138,26 @@ void TaskGraphRunner::wake_all() {
 }
 
 void TaskGraphRunner::release(std::int64_t remaining, bool counted, std::int64_t step) {
+  // Cached once: generation turnover is the runner's coarsest event (one
+  // per minibatch / serving session), but the registry lookup is still
+  // string keyed and not worth repeating.
+  static obs::Counter& generations =
+      obs::MetricsRegistry::instance().counter("sched.generations");
+  generations.add();
   counted_ = counted;
   step_ = step;
   {
     util::MutexLock lock(m_);
     remaining_ = remaining;
+    parked_ = 0;
+    ++generation_;
   }
-  pool_->begin_generation();
+  all_cv_.notify_all();
 }
 
 void TaskGraphRunner::run_generation(std::int64_t tasks, std::int64_t step) {
   release(tasks, /*counted=*/true, step);
-  pool_->wait_generation();
+  wait_generation();
 }
 
 void TaskGraphRunner::open_generation() { release(1, /*counted=*/false, -1); }
@@ -99,7 +170,10 @@ void TaskGraphRunner::close() {
   wake_all();
 }
 
-void TaskGraphRunner::wait_generation() { pool_->wait_generation(); }
+void TaskGraphRunner::wait_generation() {
+  util::MutexLock lock(m_);
+  while (parked_ != workers_) home_cv_[static_cast<std::size_t>(workers_)].wait(m_);
+}
 
 void TaskGraphRunner::work(int worker) {
   for (;;) {

@@ -6,15 +6,25 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "src/pipeline/stage_stats.h"
 #include "src/sched/steal_policy.h"
 #include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
 #include "src/util/sync.h"
 
 namespace pipemare::sched {
+
+/// Upper bound on any requested worker count. Worker counts come from
+/// outside input (--workers, --serve-workers, ServeConfig::workers), and
+/// each worker is an OS thread; the largest in-tree caller uses 8.
+inline constexpr int kMaxWorkers = 256;
+
+/// The one worker-count resolver of the runner's owners: `requested` > 0 is
+/// taken as is, 0 means min(hardware cores, `parallelism`), at least 1.
+/// Throws std::invalid_argument unless 0 <= requested <= kMaxWorkers.
+int resolve_workers(int requested, int parallelism);
 
 /// The task-graph runner every multithreaded engine runs on: pipeline
 /// training (StealingEngine: forward and backward tasks, one generation per
@@ -23,10 +33,13 @@ namespace pipemare::sched {
 /// per minibatch) and serving (serve::PipelineServer: forward-only tasks,
 /// one open generation per serving session).
 ///
-/// It owns the scheduling half of both: the WorkerPool, one TaskQueue per
-/// stage, the home mapping (stage s is home to worker s mod W), acquire,
-/// the push / notify / idle-wait protocol, and task timing into the
-/// per-stage and per-worker StageStats counters. The owner keeps the task
+/// It is the only code in the repo that owns threads (scripts/
+/// check_invariants.sh rule 2): W workers, started parked at construction
+/// and joined at destruction. It owns the scheduling half of every engine:
+/// the workers and their generation barrier, one TaskQueue per stage, the
+/// home mapping (stage s is home to worker s mod W), acquire, the push /
+/// notify / idle-wait protocol, and task timing into the per-stage and
+/// per-worker StageStats counters. The owner keeps the task
 /// bodies and whatever gates decide *when* a task becomes ready; it hands
 /// the runner exactly two callbacks: "run this task" and, optionally, an
 /// idle step.
@@ -50,7 +63,17 @@ namespace pipemare::sched {
 /// once exactly `tasks` task executions have completed (the owner seeds
 /// the queues first; bodies push successors). open_generation() releases
 /// them until the owner calls close(), typically from its idle step once
-/// it has drained; wait_generation() then collects them.
+/// it has drained; wait_generation() then collects them. Between
+/// generations the workers park on all_cv_, and a push or notify_all()
+/// wakes no one: the next release makes every worker scan the queues.
+///
+/// Memory ordering. The release / collect pair is the repo's one thread
+/// barrier: everything the owner writes before a release is visible to
+/// every task of that generation, and everything the tasks write is
+/// visible to the owner once the generation is collected — so
+/// per-minibatch context and plain (non-atomic) single-writer counters need
+/// no further synchronization. The barrier state (generation_, parked_,
+/// shutdown_) is GUARDED_BY(m_), which a Clang -Wthread-safety build proves.
 ///
 /// Lock order: owner mutex -> runner mutex (m_) -> TaskQueue mutex. An
 /// owner may push() or notify_all() while holding its own mutex (the
@@ -70,8 +93,13 @@ class TaskGraphRunner {
   /// Must not throw.
   using IdleStep = std::function<Clock::duration(int worker)>;
 
+  /// Starts `workers` threads, parked until the first generation. If
+  /// starting a thread fails partway, the started ones are joined before
+  /// the exception propagates.
   TaskGraphRunner(int stages, int workers, StealMode mode, RunTask run,
                   IdleStep idle = {});
+  /// Joins the workers; call with no generation open.
+  ~TaskGraphRunner();
 
   TaskGraphRunner(const TaskGraphRunner&) = delete;
   TaskGraphRunner& operator=(const TaskGraphRunner&) = delete;
@@ -82,8 +110,8 @@ class TaskGraphRunner {
   /// between generations; the release barrier publishes it to the workers.
   void set_victim_order(std::span<const int> order);
 
-  /// Makes `task` ready and wakes the workers that may run it. Any thread,
-  /// inside or between generations.
+  /// Makes `task` ready and wakes the workers that may run it (none between
+  /// generations). Any thread, inside or between generations.
   void push(const Task& task) EXCLUDES(m_);
 
   /// Wakes every idle worker to rescan (and rerun the idle step): the
@@ -101,7 +129,7 @@ class TaskGraphRunner {
   /// task in hand. Call only when no task is queued.
   void close() EXCLUDES(m_);
   /// Blocks until every worker of the open generation has returned.
-  void wait_generation();
+  void wait_generation() EXCLUDES(m_);
 
   /// Per-*stage* counters, cumulative since construction or the last
   /// reset: busy/items of the stage's tasks wherever they ran, plus
@@ -127,6 +155,8 @@ class TaskGraphRunner {
   };
 
   int home_worker(int stage) const { return stage % workers_; }
+  /// A worker thread: parks until a release, runs work(), parks again.
+  void thread_loop(int worker) EXCLUDES(m_);
   /// Counter slots [first, first + count): stages are slots [0, P),
   /// worker w is slot P + w.
   std::vector<pipeline::StageStats> snapshot(std::size_t first, std::size_t count) const;
@@ -148,22 +178,27 @@ class TaskGraphRunner {
   std::vector<int> victims_;
   std::unique_ptr<Counters[]> counters_;  ///< per stage, then per worker
 
-  // Generation shape, written only between generations (the pool's
-  // release barrier publishes it to the workers).
+  // Generation shape, written only between generations (the release
+  // publishes it to the workers).
   bool counted_ = true;     ///< run_generation (true) vs open_generation
   std::int64_t step_ = -1;  ///< trace tag of the current generation
 
   util::Mutex m_;
-  util::CondVar all_cv_;  ///< idle workers wait here when stealing is on
-  /// Per worker, when stealing is off: only the home worker of a stage may
-  /// run its tasks, so a push wakes that one worker.
+  /// Idle workers wait here when stealing is on; parked workers always do.
+  util::CondVar all_cv_;
+  /// Slots [0, W), per worker, when stealing is off: only the home worker
+  /// of a stage may run its tasks, so a push wakes that one worker. Slot W
+  /// is the owner's: wait_generation() sleeps there until every worker parked.
   std::unique_ptr<util::CondVar[]> home_cv_;
   std::uint64_t push_version_ GUARDED_BY(m_) = 0;
   /// Task executions left in a counted generation; an open generation
   /// holds 1 until close(). 0 = the generation is over.
   std::int64_t remaining_ GUARDED_BY(m_) = 0;
+  std::uint64_t generation_ GUARDED_BY(m_) = 0;  ///< releases so far
+  int parked_ GUARDED_BY(m_) = 0;  ///< workers done with the current generation
+  bool shutdown_ GUARDED_BY(m_) = false;
 
-  std::unique_ptr<WorkerPool> pool_;  ///< last member: joins before teardown
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace pipemare::sched

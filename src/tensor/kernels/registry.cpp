@@ -10,14 +10,11 @@
 
 #include "src/tensor/kernels/gemm_naive.h"
 #include "src/tensor/kernels/gemm_tiled.h"
-#include "src/tensor/kernels/intra_op.h"
 #include "src/tensor/kernels/simd.h"
 
 namespace pipemare::tensor::kernels {
 
 namespace {
-
-constexpr int kMaxLanes = 16;
 
 // Below this many rows, packing B^T for the nt variant costs more than the
 // packed kernel saves (pack is O(k*n), compute only O(m*k*n)); fall back
@@ -25,10 +22,6 @@ constexpr int kMaxLanes = 16;
 constexpr int kNtPackMinRows = 8;
 
 std::atomic<int> g_kind{static_cast<int>(KernelKind::tiled)};
-std::atomic<int> g_lanes{1};
-std::atomic<std::int64_t> g_min_flops{2'000'000};
-
-int clamp_lanes(int lanes) { return std::clamp(lanes, 1, kMaxLanes); }
 
 void init_from_env_once() {
   // getenv is mt-unsafe only against a concurrent setenv; this runs once
@@ -43,13 +36,6 @@ void init_from_env_once() {
             "' (expected naive|tiled)");
       }
       g_kind.store(static_cast<int>(*kind), std::memory_order_relaxed);
-    }
-    if (const char* e = std::getenv("PIPEMARE_KERNEL_LANES")) {  // NOLINT(concurrency-mt-unsafe)
-      g_lanes.store(clamp_lanes(std::atoi(e)), std::memory_order_relaxed);
-    }
-    if (const char* e = std::getenv("PIPEMARE_KERNEL_MIN_FLOPS")) {  // NOLINT(concurrency-mt-unsafe)
-      g_min_flops.store(std::max(0LL, std::atoll(e)),
-                        std::memory_order_relaxed);
     }
     return true;
   }();
@@ -139,30 +125,22 @@ void tiled_log_softmax_rows(const float* a, float* out, int m, int n) {
   }
 }
 
-// ---- Tiled GEMM wrappers: ISA dispatch + optional lane split --------------
+// ---- Tiled GEMM wrappers: ISA dispatch ------------------------------------
 
 void tiled_gemm_nn(const float* a, const float* b, float* c, int m, int k,
                    int n) {
-  const TiledFns* fns = tiled_fns();
-  double flops = 2.0 * m * k * n;
-  parallel_rows(m, flops, [&](int i0, int i1) {
-    fns->gemm_rows(a, static_cast<std::size_t>(k), 1, b, c, i0, i1, k, n);
-  });
+  tiled_fns()->gemm_rows(a, static_cast<std::size_t>(k), 1, b, c, 0, m, k, n);
 }
 
 void tiled_gemm_tn(const float* a, const float* b, float* c, int m, int k,
                    int n) {
-  const TiledFns* fns = tiled_fns();
-  double flops = 2.0 * m * k * n;
-  parallel_rows(m, flops, [&](int i0, int i1) {
-    fns->gemm_rows(a, 1, static_cast<std::size_t>(m), b, c, i0, i1, k, n);
-  });
+  tiled_fns()->gemm_rows(a, 1, static_cast<std::size_t>(m), b, c, 0, m, k, n);
 }
 
 // Shared nt body: pack B^T once to [k,n] (pure data movement, so the
 // packed run reads the same values in the same ascending-k order as the
-// naive dot) and reuse the nn row kernel; the fused bias epilogue
-// runs per lane right after its rows are produced, while they are hot.
+// naive dot) and reuse the nn row kernel; the fused bias epilogue runs
+// after the rows are produced.
 void tiled_gemm_nt_body(const float* a, const float* b, const float* bias,
                         float* c, int m, int k, int n) {
   const TiledFns* fns = tiled_fns();
@@ -173,12 +151,8 @@ void tiled_gemm_nt_body(const float* a, const float* b, const float* bias,
   }
   std::vector<float> bt(static_cast<std::size_t>(k) * n);
   fns->transpose2d(b, bt.data(), n, k);
-  double flops = 2.0 * m * k * n;
-  parallel_rows(m, flops, [&](int i0, int i1) {
-    fns->gemm_rows(a, static_cast<std::size_t>(k), 1, bt.data(), c, i0, i1, k,
-                   n);
-    if (bias != nullptr) bias_rows(c, bias, i0, i1, n);
-  });
+  fns->gemm_rows(a, static_cast<std::size_t>(k), 1, bt.data(), c, 0, m, k, n);
+  if (bias != nullptr) bias_rows(c, bias, 0, m, n);
 }
 
 void tiled_gemm_nt(const float* a, const float* b, float* c, int m, int k,
@@ -234,27 +208,6 @@ std::optional<KernelKind> KernelRegistry::parse(std::string_view s) {
   if (s == "naive") return KernelKind::naive;
   if (s == "tiled") return KernelKind::tiled;
   return std::nullopt;
-}
-
-int KernelRegistry::lanes() {
-  init_from_env_once();
-  return g_lanes.load(std::memory_order_relaxed);
-}
-
-void KernelRegistry::set_lanes(int lanes) {
-  init_from_env_once();
-  g_lanes.store(clamp_lanes(lanes), std::memory_order_relaxed);
-}
-
-std::int64_t KernelRegistry::intra_op_min_flops() {
-  init_from_env_once();
-  return g_min_flops.load(std::memory_order_relaxed);
-}
-
-void KernelRegistry::set_intra_op_min_flops(std::int64_t flops) {
-  init_from_env_once();
-  g_min_flops.store(std::max<std::int64_t>(0, flops),
-                    std::memory_order_relaxed);
 }
 
 bool KernelRegistry::simd_compiled() {

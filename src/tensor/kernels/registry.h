@@ -58,15 +58,14 @@ struct KernelTable {
 };
 
 /// Process-wide kernel selection, initialized once from the environment
-/// (PIPEMARE_KERNELS=naive|tiled, PIPEMARE_KERNEL_LANES=<int>,
-/// PIPEMARE_KERNEL_MIN_FLOPS=<int>) on first use and overridable at
-/// startup via `--kernels=` / `--kernel-lanes=` (core::parse_backend_cli).
+/// (PIPEMARE_KERNELS=naive|tiled) on first use and overridable at startup
+/// via `--kernels=` (core::parse_backend_cli).
 ///
 /// Selection is a single atomic pointer swap: changing the kind mid-run is
 /// safe (ops dispatch through one load), though the supported pattern is
-/// set-at-startup. Intra-op lanes default to 1 (off); when set > 1, wide
-/// GEMMs whose FLOP count exceeds intra_op_min_flops() split their m
-/// dimension across a per-thread lane pool nested under sched::WorkerPool.
+/// set-at-startup. A kernel runs on the calling thread: the repo's
+/// parallelism is the pipeline's, with every worker thread owned by
+/// sched::TaskGraphRunner.
 class KernelRegistry {
  public:
   static KernelKind kind();
@@ -83,14 +82,9 @@ class KernelRegistry {
   static std::string_view name();
   static std::optional<KernelKind> parse(std::string_view s);
 
-  /// Intra-op lane count (1 = off). Clamped to [1, 16].
-  static int lanes();
-  static void set_lanes(int lanes);
-
-  /// Minimum per-GEMM FLOP count before the lane split engages; below it
-  /// the fork/join barrier costs more than it buys.
-  static std::int64_t intra_op_min_flops();
-  static void set_intra_op_min_flops(std::int64_t flops);
+  /// Always 1: a GEMM runs on its calling thread. Kept only because
+  /// perfbench writes it into its run manifest.
+  static constexpr int lanes() { return 1; }
 
   /// True when the build had -fopenmp-simd (PIPEMARE_SIMD pragmas active).
   static bool simd_compiled();

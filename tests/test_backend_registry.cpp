@@ -15,7 +15,7 @@
 #include "src/core/trainer.h"
 #include "src/hogwild/hogwild.h"
 #include "src/pipeline/partition.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/task_graph_runner.h"
 #include "src/util/cli.h"
 
 namespace pipemare::core {

@@ -2,7 +2,7 @@
 // PIPEMARE_KERNELS={naive,tiled} in CI): the KernelRegistry dispatch, the
 // golden-value guarantee (tiled bitwise-equal to the naive oracle for
 // every GEMM variant, epilogue, elementwise op and shape — including
-// degenerate and non-tile-multiple sizes and intra-op lane counts 1..4),
+// degenerate and non-tile-multiple sizes),
 // the NaN-propagation regression for the removed zero-skip, the
 // KernelCalibration micro-profile and its partitioner hookup, the CLI
 // plumbing, and end-to-end bitwise curve parity sequential vs
@@ -43,20 +43,11 @@ using kernels::KernelRegistry;
 /// settings in CI; whatever the environment chose must survive).
 class KernelStateGuard {
  public:
-  KernelStateGuard()
-      : kind_(KernelRegistry::kind()),
-        lanes_(KernelRegistry::lanes()),
-        min_flops_(KernelRegistry::intra_op_min_flops()) {}
-  ~KernelStateGuard() {
-    KernelRegistry::set_kind(kind_);
-    KernelRegistry::set_lanes(lanes_);
-    KernelRegistry::set_intra_op_min_flops(min_flops_);
-  }
+  KernelStateGuard() : kind_(KernelRegistry::kind()) {}
+  ~KernelStateGuard() { KernelRegistry::set_kind(kind_); }
 
  private:
   KernelKind kind_;
-  int lanes_;
-  std::int64_t min_flops_;
 };
 
 Tensor random_tensor(std::vector<int> shape, util::Rng& rng) {
@@ -114,18 +105,6 @@ TEST(KernelRegistry, SetKindSwitchesActiveTable) {
   EXPECT_STREQ(KernelRegistry::table().name, "tiled");
   // Specific-table queries are independent of the active kind.
   EXPECT_STREQ(KernelRegistry::table(KernelKind::naive).name, "naive");
-}
-
-TEST(KernelRegistry, LanesAndThresholdClampAndStick) {
-  KernelStateGuard guard;
-  KernelRegistry::set_lanes(3);
-  EXPECT_EQ(KernelRegistry::lanes(), 3);
-  KernelRegistry::set_lanes(0);
-  EXPECT_EQ(KernelRegistry::lanes(), 1);  // clamped
-  KernelRegistry::set_lanes(1000);
-  EXPECT_EQ(KernelRegistry::lanes(), 16);  // clamped
-  KernelRegistry::set_intra_op_min_flops(-5);
-  EXPECT_EQ(KernelRegistry::intra_op_min_flops(), 0);
 }
 
 TEST(KernelRegistry, TiledIsaIsConsistentWithDispatch) {
@@ -228,37 +207,6 @@ TEST(KernelParity, ElementwiseTransposeSoftmaxAgree) {
   }
 }
 
-TEST(KernelParity, IntraOpLaneCountsAreBitwiseInvariant) {
-  KernelStateGuard guard;
-  util::Rng rng(42);
-  // Shapes chosen so lane boundaries land mid-tile and rows don't divide
-  // evenly across lanes.
-  Tensor a = random_tensor({37, 29}, rng);
-  Tensor at = random_tensor({29, 37}, rng);
-  Tensor b = random_tensor({29, 41}, rng);
-  Tensor bt = random_tensor({41, 29}, rng);
-  std::vector<float> bias(41);
-  for (auto& v : bias) v = static_cast<float>(rng.normal());
-  std::span<const float> bs(bias);
-
-  KernelRegistry::set_kind(KernelKind::naive);
-  Tensor want_nn = matmul(a, b);
-  Tensor want_tn = matmul_tn(at, b);
-  Tensor want_nt = matmul_nt(a, bt);
-  Tensor want_bias = matmul_nt_bias(a, bt, bs);
-
-  KernelRegistry::set_kind(KernelKind::tiled);
-  KernelRegistry::set_intra_op_min_flops(0);  // force the split for tiny GEMMs
-  for (int lanes = 1; lanes <= 4; ++lanes) {
-    KernelRegistry::set_lanes(lanes);
-    expect_bitwise(want_nn, matmul(a, b), "lanes matmul");
-    expect_bitwise(want_tn, matmul_tn(at, b), "lanes matmul_tn");
-    expect_bitwise(want_nt, matmul_nt(a, bt), "lanes matmul_nt");
-    expect_bitwise(want_bias, matmul_nt_bias(a, bt, bs),
-                   "lanes matmul_nt_bias");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // NaN/Inf propagation (the removed zero-skip regression)
 // ---------------------------------------------------------------------------
@@ -352,9 +300,9 @@ TEST(KernelCli, KernelsFlagSelectsBackendGlobally) {
   KernelStateGuard guard;
   (void)parse_cli({"--kernels=naive"});
   EXPECT_EQ(KernelRegistry::kind(), KernelKind::naive);
-  (void)parse_cli({"--kernels=tiled", "--kernel-lanes=2"});
+  (void)parse_cli({"--kernels=tiled"});
   EXPECT_EQ(KernelRegistry::kind(), KernelKind::tiled);
-  EXPECT_EQ(KernelRegistry::lanes(), 2);
+  EXPECT_THROW((void)parse_cli({"--kernel-lanes=2"}), std::invalid_argument);
   EXPECT_THROW((void)parse_cli({"--kernels=blas"}), std::invalid_argument);
 }
 

@@ -1,7 +1,8 @@
 // The work-stealing runtime suite (tier1): TaskQueue push/pop/steal
 // mechanics (single-owner order + concurrent stealers), StealPolicy
-// ranking/refresh/parsing, WorkerPool generations, the TaskGraphRunner on
-// trivial task bodies (steal attribution, generation completion, the idle
+// ranking/refresh/parsing, the TaskGraphRunner on trivial task bodies
+// (steal attribution, generation completion, open / counted sessions back
+// to back, thread start-up and join, pushes between generations, the idle
 // step's timed recheck, the worker-count bound), and the StealingEngine
 // guarantees — steals-disabled bitwise parity vs the sequential engine
 // (the "threaded" backend's configuration), forced-steal bitwise parity vs the
@@ -46,7 +47,6 @@
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_graph_runner.h"
 #include "src/sched/task_queue.h"
-#include "src/sched/worker_pool.h"
 #include "src/util/rng.h"
 
 namespace pipemare::sched {
@@ -154,28 +154,6 @@ TEST(StealPolicy, ModeParsingAndNames) {
   for (auto mode : {StealMode::Disabled, StealMode::LoadAware,
                     StealMode::Deterministic, StealMode::Forced}) {
     EXPECT_EQ(parse_steal_mode(steal_mode_name(mode)), mode);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// WorkerPool
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPool, RunsBodyOncePerWorkerPerGeneration) {
-  constexpr int kWorkers = 3;
-  std::atomic<int> calls{0};
-  std::vector<std::atomic<int>> per_worker(kWorkers);
-  WorkerPool pool(kWorkers, [&](int w) {
-    calls.fetch_add(1);
-    per_worker[static_cast<std::size_t>(w)].fetch_add(1);
-  });
-  EXPECT_EQ(pool.size(), kWorkers);
-  for (int gen = 1; gen <= 4; ++gen) {
-    pool.run_generation();
-    EXPECT_EQ(calls.load(), gen * kWorkers);
-    for (int w = 0; w < kWorkers; ++w) {
-      EXPECT_EQ(per_worker[static_cast<std::size_t>(w)].load(), gen);
-    }
   }
 }
 
@@ -309,6 +287,63 @@ TEST(TaskGraphRunner, IdleStepRecheckWakesAParkedWorkerWithoutAPush) {
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].items, 0u);
   EXPECT_GT(workers[0].pop_wait_ns, 0u);  // it really parked between calls
+}
+
+TEST(TaskGraphRunner, OpenSessionThenCountedGenerationRunsExactlyK) {
+  // The serving session (open / close / wait) and the training minibatch
+  // (run_generation) share one barrier; each must leave it ready for the
+  // other.
+  constexpr std::int64_t kTasks = 7;
+  std::atomic<std::int64_t> ran{0};
+  TaskGraphRunner runner(2, 3, StealMode::LoadAware,
+                         [&ran](int, const Task&) { ran.fetch_add(1); });
+  runner.set_victim_order(std::vector<int>{1, 0});
+  for (int round = 1; round <= 3; ++round) {
+    runner.open_generation();
+    runner.close();
+    runner.wait_generation();
+    EXPECT_EQ(ran.load(), (round - 1) * kTasks) << "round " << round;
+    for (std::int64_t m = 0; m < kTasks; ++m) {
+      runner.push({Task::Kind::Forward, static_cast<int>(m % 2), static_cast<int>(m)});
+    }
+    runner.run_generation(kTasks, round);
+    EXPECT_EQ(ran.load(), round * kTasks) << "round " << round;
+  }
+}
+
+TEST(TaskGraphRunner, ConstructAndDestroyJoinsCleanly) {
+  // Workers start parked and must join whether or not a generation ran.
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 50; ++i) {
+    TaskGraphRunner idle(2, 3, StealMode::LoadAware,
+                         [](int, const Task&) { ADD_FAILURE() << "no task was pushed"; });
+    TaskGraphRunner used(2, 3, StealMode::LoadAware,
+                         [&ran](int, const Task&) { ran.fetch_add(1); });
+    used.push({Task::Kind::Forward, 0, 0});
+    used.run_generation(1, i);
+  }
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(TaskGraphRunner, TasksPushedBetweenGenerationsRunExactlyOnce) {
+  // Pushes between generations wake no one; the release must still make
+  // every queued task run, with and without stealing.
+  constexpr int kStages = 4;
+  constexpr int kMicros = 5;
+  for (StealMode mode : {StealMode::LoadAware, StealMode::Disabled}) {
+    std::vector<std::atomic<int>> runs(kStages * kMicros);
+    TaskGraphRunner runner(kStages, 3, mode, [&runs](int, const Task& t) {
+      runs[static_cast<std::size_t>(t.stage * kMicros + t.micro)].fetch_add(1);
+    });
+    runner.set_victim_order(std::vector<int>{3, 2, 1, 0});
+    for (int step = 1; step <= 3; ++step) {
+      for (int s = 0; s < kStages; ++s) {
+        for (int m = 0; m < kMicros; ++m) runner.push({Task::Kind::Forward, s, m});
+      }
+      runner.run_generation(kStages * kMicros, step);
+      for (const auto& r : runs) EXPECT_EQ(r.load(), step) << steal_mode_name(mode);
+    }
+  }
 }
 
 TEST(TaskGraphRunner, ResolveWorkersBoundsRequests) {

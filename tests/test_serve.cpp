@@ -23,7 +23,7 @@
 #include "src/nn/model.h"
 #include "src/nn/serialize.h"
 #include "src/nn/transformer.h"
-#include "src/sched/worker_pool.h"
+#include "src/sched/task_graph_runner.h"
 #include "src/serve/batch_scheduler.h"
 #include "src/serve/checkpoint.h"
 #include "src/serve/pipeline_server.h"
@@ -483,20 +483,6 @@ TEST(BatchAssembly, CompatibilityConcatAndSplit) {
 
   const std::vector<int> bad_rows = {2, 2};
   EXPECT_THROW(split_output_rows(joined.x, bad_rows), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// sched::WorkerPool begin/wait split (the serving-session barrier halves)
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPoolSplit, BeginAndWaitEqualOneGeneration) {
-  std::atomic<int> runs{0};
-  sched::WorkerPool pool(3, [&runs](int) { runs.fetch_add(1); });
-  pool.begin_generation();
-  pool.wait_generation();
-  EXPECT_EQ(runs.load(), 3);
-  pool.run_generation();  // the fused form still works afterwards
-  EXPECT_EQ(runs.load(), 6);
 }
 
 // ---------------------------------------------------------------------------
